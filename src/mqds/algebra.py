@@ -25,7 +25,7 @@ import numpy as np
 from .gausspoly import integrate_poly_exp, sym
 from .poly import Exponent, Poly
 
-PRUNE_REL_TOL = 1e-13      # relative to the largest coefficient in a function
+PRUNE_REL_TOL = 1e-13      # relative to the largest coefficient, z in units of sqrt(hbar)
 EXPO_EQ_TOL = 1e-12        # absolute, entrywise, for term merging
 
 
@@ -312,11 +312,15 @@ def _canonicalize(space: VarSpace, terms: List[QGTerm]) -> List[QGTerm]:
         else:
             hit.poly.add_scaled(t.poly, 1.0)
 
-    top = max((t.poly.max_abs_coeff() for t in merged), default=0.0)
+    # weigh the coefficient of z^e by sqrt(hbar)^|e|, its size in the natural
+    # unit of z, so that the cut does not depend on the unit (at hbar = 100 the
+    # top Laguerre terms of W_8 carry (2/hbar)^8 and would all be dropped)
+    unit = math.sqrt(space.hbar)
+    top = max((t.poly.max_abs_coeff(unit) for t in merged), default=0.0)
     tol = PRUNE_REL_TOL * top
     out = []
     for t in merged:
-        p = t.poly.pruned(tol)
+        p = t.poly.pruned(tol, unit)
         if not p.is_zero():
             out.append(QGTerm(p, t.expo))
     out.sort(key=_term_sort_key)

@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--g", required=True)
     orc.add_argument("--points", required=True, help="semicolon-separated points, e.g. '1,1;0,0.5'")
     orc.add_argument("--ndof", type=int, choices=(1, 2), default=1)
-    orc.add_argument("--halfwidth", type=float, default=8.0)
+    orc.add_argument("--halfwidth", type=float, default=StarConfig.oracle_grid_halfwidth)
     orc.add_argument("--points-per-axis", type=int, default=48)
     orc.set_defaults(fn=cmd_oracle)
     return parser

@@ -21,11 +21,12 @@ Conventions:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+import operator
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .poly import Exponent, Poly
+from .poly import Exponent, Poly, merge, packed_bits, unpack
 
 _EIG_TOL = 1e-12
 
@@ -99,21 +100,15 @@ def moments_scalar(Sigma: np.ndarray, mu: np.ndarray, needed: Sequence[Exponent]
     return {a: get(tuple(a)) for a in needed}
 
 
-def moments_poly(Sigma: np.ndarray, mu_polys: List[Poly], needed: Sequence[Exponent],
-                 memo: Dict[Exponent, Poly] | None = None) -> Dict[Exponent, Poly]:
+def moments_poly(Sigma: np.ndarray, mu_polys: List[Poly], needed: Sequence[Exponent]) -> Dict[Exponent, Poly]:
     """Moment recursion where the mean components are Poly-valued.
 
     Used when a Gaussian block is integrated out and the completed-square
-    mean is an affine function of the remaining variables (or of formal
-    source parameters).  `memo` may be shared across calls with identical
-    (Sigma, mu_polys).
+    mean is an affine function of the remaining variables.
     """
     dim = Sigma.shape[0]
     out_dim = mu_polys[0].dim if mu_polys else 0
-    if memo is None:
-        memo = {}
-    if not memo:
-        memo[(0,) * dim] = Poly.const(out_dim, 1.0)
+    memo: Dict[Exponent, Poly] = {(0,) * dim: Poly.const(out_dim, 1.0)}
 
     def get(alpha: Exponent) -> Poly:
         got = memo.get(alpha)
@@ -130,6 +125,49 @@ def moments_poly(Sigma: np.ndarray, mu_polys: List[Poly], needed: Sequence[Expon
                 gamma[j] -= 1
                 val.add_scaled(get(tuple(gamma)), Sigma[i, j] * beta_t[j])
         memo[alpha] = val
+        return val
+
+    return {a: get(tuple(a)) for a in needed}
+
+
+Packed = Tuple[np.ndarray, np.ndarray]      # (int64 keys, complex coeffs); see poly
+
+
+def packed_moments(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: int,
+                   needed: Iterable[Exponent], memo: Dict[Exponent, Packed]) -> Dict[Exponent, Packed]:
+    """moments_poly on packed polynomials.
+
+    Mean component i is the affine form lin[i] . w + shift[i] over the
+    lin.shape[1] variables w; tables are packed with `bits` per variable,
+    and the caller keeps every exponent below 2**bits.  `memo` may be shared
+    across calls with identical (Sigma, lin, shift).
+    """
+    dim = Sigma.shape[0]
+    units = np.left_shift(1, bits * np.arange(lin.shape[1], dtype=np.int64))
+    # mean component i times a table: key shifts and weights of its linear part
+    steps = []
+    for row in lin:
+        nz = np.flatnonzero(row)
+        steps.append((units[nz, None], row[nz, None]))
+    if not memo:
+        memo[(0,) * dim] = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+
+    def get(alpha: Exponent) -> Packed:
+        got = memo.get(alpha)
+        if got is not None:
+            return got
+        i = max(k for k in range(dim) if alpha[k] > 0)
+        beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        keys, coeffs = get(beta)
+        shifts, weights = steps[i]
+        parts_k = [(shifts + keys).ravel(), keys]
+        parts_c = [(weights * coeffs).ravel(), shift[i] * coeffs]
+        for j in range(dim):
+            if beta[j]:
+                g_keys, g_coeffs = get(beta[:j] + (beta[j] - 1,) + beta[j + 1:])
+                parts_k.append(g_keys)
+                parts_c.append((Sigma[i, j] * beta[j]) * g_coeffs)
+        memo[alpha] = val = merge(np.concatenate(parts_k), np.concatenate(parts_c))
         return val
 
     return {a: get(tuple(a)) for a in needed}
@@ -280,56 +318,70 @@ class CompositionContext:
 
         T = G @ B                                          # (2d, d): z-coupling of the source means
         s_vec = G @ beta0
-        # linear forms g_i(z) entering the Hermite recursions
-        self.g_u = [Poly.linear(T[i, :], s_vec[i]) for i in range(d)]
+        # Means of the Hermite recursions, as affine forms (rows of lin, shift):
+        # the u-block's over z, the v-block's over (z, u-symbols), with the
+        # u-coupling kept symbolic.  Moment tables are packed polynomials over
+        # (z, u) with `bits` per variable; z-only tables use the first d fields.
+        self.bits = packed_bits(2 * d)
         self.G_uu = G[:d, :d]
         self.G_vv = G[d:, d:]
-        self.G_vu = G[d:, :d]
-        # v-block linear forms over (z, u-symbols): dimension d + d
-        self.g_v = []
-        for j in range(d):
-            coeffs = np.concatenate([T[d + j, :], self.G_vu[j, :]])
-            self.g_v.append(Poly.linear(coeffs, s_vec[d + j]))
-        self._mu_memo: Dict[Exponent, Poly] = {}
-        self._mv_memo: Dict[Exponent, Poly] = {}
+        self._u_form = (T[:d, :], s_vec[:d])
+        self._v_form = (np.concatenate([T[d:, :], G[d:, :d]], axis=1), s_vec[d:])
+        self._mu_memo: Dict[Exponent, Packed] = {}
+        self._mv_memo: Dict[Exponent, Packed] = {}
 
     def compose(self, P1: Poly, P2: Poly) -> Poly:
         """Prefactor polynomial of (P1 e^{q1}) star (P2 e^{q2}), without `pref`.
 
         Implements P1(d/db1) P2(d/db2) applied to the pure-exponential
         composition, via block-Hermite recursions: the v-block is reduced
-        first with the u-coupling kept symbolic, then the u-block.
+        first with the u-coupling kept symbolic, then the u-block.  With
+        Phi(z, u) = sum_delta c2_delta mv_delta = sum_kappa phi_kappa(z) u^kappa,
+        the result is sum_kappa phi_kappa psi_kappa, where
+        psi_kappa = sum_{gamma >= kappa} c1_gamma gamma!/(gamma-kappa)! mu_{gamma-kappa}.
         """
-        d = self.d
-        mv = moments_poly(self.G_vv, self.g_v, list(P2.terms.keys()), self._mv_memo)
-        # Phi(z, u) = sum_delta c2_delta mv_delta; collect by u-exponent kappa
-        phi: Dict[Exponent, Poly] = {}
-        for delta, c2 in P2.terms.items():
-            for e2d, coef in mv[delta].terms.items():
-                kz, ku = e2d[:d], e2d[d:]
-                slot = phi.get(ku)
-                if slot is None:
-                    slot = Poly(d)
-                    phi[ku] = slot
-                slot.add_scaled(Poly(d, {kz: 1.0}), c2 * coef)
+        d, bits = self.d, self.bits
+        if P1.is_zero() or P2.is_zero():
+            return Poly(d)
+        if P1.degree() + P2.degree() >= 1 << bits:
+            raise ValueError(f"degree {P1.degree() + P2.degree()} exceeds the packed "
+                             f"composition's {(1 << bits) - 1} for N = {d // 2}")
+        mv = packed_moments(self.G_vv, *self._v_form, bits, P2.terms, self._mv_memo)
+        keys, coeffs = merge(np.concatenate([mv[delta][0] for delta in P2.terms]),
+                             np.concatenate([c2 * mv[delta][1] for delta, c2 in P2.terms.items()]))
+        # keys are sorted, and u sits in the high fields: each kappa is one run
+        z_bits = bits * d
+        kappas, starts = np.unique(keys >> z_bits, return_index=True)
+        bounds = np.append(starts, len(keys))
+        z_keys = keys & ((1 << z_bits) - 1)
 
-        needed_u = set()
-        for gamma in P1.terms:
-            for ku in phi:
-                if all(k <= g for k, g in zip(ku, gamma)):
-                    needed_u.add(tuple(g - k for g, k in zip(gamma, ku)))
-        mu = moments_poly(self.G_uu, self.g_u, list(needed_u), self._mu_memo)
+        gammas, c1s = list(P1.terms), list(P1.terms.values())
+        kappa_exps = unpack(kappas, d, bits)
+        fits = (np.array(gammas)[None, :, :] >= kappa_exps[:, None, :]).all(axis=2)
+        groups = []
+        for kappa, lo, hi, row in zip(kappa_exps.tolist(), bounds[:-1], bounds[1:], fits):
+            terms = []
+            for j in np.flatnonzero(row).tolist():
+                w = c1s[j]
+                for g, k in zip(gammas[j], kappa):
+                    w *= math.perm(g, k)
+                terms.append((tuple(map(operator.sub, gammas[j], kappa)), w))
+            if terms:
+                groups.append((lo, hi, terms))
+        needed = {e for _, _, terms in groups for e, _ in terms}
+        mu = packed_moments(self.G_uu, *self._u_form, bits, needed, self._mu_memo)
 
-        out = Poly(d)
-        for gamma, c1 in P1.terms.items():
-            for ku, phi_k in phi.items():
-                if not all(k <= g for k, g in zip(ku, gamma)):
-                    continue
-                w = c1
-                for g, k in zip(gamma, ku):
-                    w *= math.comb(g, k) * math.factorial(k)
-                out = out + phi_k.mul(mu[tuple(g - k for g, k in zip(gamma, ku))]).scaled(w)
-        return out
+        out_keys, out_coeffs = [], []
+        for lo, hi, terms in groups:
+            psi_keys, psi_coeffs = merge(np.concatenate([mu[e][0] for e, _ in terms]),
+                                         np.concatenate([w * mu[e][1] for e, w in terms]))
+            k, c = merge((z_keys[lo:hi, None] + psi_keys[None, :]).ravel(),
+                         (coeffs[lo:hi, None] * psi_coeffs[None, :]).ravel())
+            out_keys.append(k)
+            out_coeffs.append(c)
+        if not out_keys:
+            return Poly(d)
+        return Poly.from_packed(d, bits, *merge(np.concatenate(out_keys), np.concatenate(out_coeffs)))
 
 
 _CTX_CACHE: Dict[bytes, CompositionContext] = {}

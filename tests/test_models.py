@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import f0_plus, w0
-from mqds.algebra import QGFunction, poisson_bracket
+from mqds.algebra import QGFunction, VarSpace, poisson_bracket
 from mqds.models import (ModelId, UnsupportedPair, WaveFunction, conjugation_by_V, dho_f,
                          dho_g, eigenvalue, hamiltonian, hyperbolic_frame_matrix,
                          koopman_apply, ladder_set, lift_dynamics, oscillator_wigner,
@@ -130,6 +130,20 @@ def test_wigner_range_check(space):
 
 
 # -- toy family -------------------------------------------------------------------
+
+@pytest.mark.slow
+@pytest.mark.parametrize("hbar", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+def test_families_keep_every_monomial_at_any_hbar(hbar):
+    # pruning weighs z^e by sqrt(hbar)^|e|: without that, W_8 kept 28 of its
+    # 45 monomials at hbar = 100 and integrated to 769
+    space = VarSpace(1, hbar)
+    for n in range(13):
+        members = [(oscillator_wigner(n, space), (n + 1) * (n + 2) // 2),
+                   (toy_resonant(n, "+", space), n + 1), (toy_resonant(n, "-", space), n + 1)]
+        for F, monomials in members:
+            assert [len(t.poly.terms) for t in F.terms] == [monomials]
+            assert abs(F.gaussian_integral() - 1.0) <= 1e-8
+
 
 def test_toy_ground_states(space):
     assert (toy_resonant(0, "+", space) - f0_plus(space)).coeff_norm() == 0

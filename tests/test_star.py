@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import random_gaussian, random_polynomial, w0
-from mqds.algebra import QGFunction, VarSpace, poisson_bracket
-from mqds.gausspoly import GaussianCompositionSingular
+from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
+from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, moments_poly,
+                            packed_moments)
 from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
-from mqds.poly import Poly
+from mqds.poly import Poly, multi_indices
 from mqds.star import (EvolutionSingular, OracleNotConverged, StarConfig,
                        classical_flow_matrix, evolve, moyal_bracket,
                        quadrature_star_oracle, star, star_exp_closed,
@@ -73,6 +74,28 @@ def test_plane_wave_composition_law(space):
         phase = np.exp(0.5j * space.hbar * (b1 @ J @ b2))
         want = QGFunction.from_exponent(space, np.zeros((2, 2)), b1 + b2, coeff=phase)
         assert (star(f, g) - want).coeff_norm() <= 1e-12 * abs(phase)
+
+
+def test_packed_memos_match_moments_poly(space2):
+    rng = np.random.default_rng(29)
+    (t1,), (t2,) = random_gaussian(space2, rng).terms, random_gaussian(space2, rng).terms
+    ctx = CompositionContext(2, 1.0, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
+    needed = list(multi_indices(4, 4))
+    for Sigma, (lin, shift) in ((ctx.G_uu, ctx._u_form), (ctx.G_vv, ctx._v_form)):
+        packed = packed_moments(Sigma, lin, shift, ctx.bits, needed, {})
+        forms = [Poly.linear(lin[i], shift[i]) for i in range(len(shift))]
+        dicts = moments_poly(Sigma, forms, needed)
+        for alpha in needed:
+            got = Poly.from_packed(lin.shape[1], ctx.bits, *packed[alpha])
+            assert (got - dicts[alpha]).max_abs_coeff() <= 1e-13 * dicts[alpha].max_abs_coeff()
+
+
+def test_composition_beyond_packing_width_raises(space2):
+    ctx = CompositionContext(2, 1.0, np.eye(4), np.zeros(4), np.eye(4), np.zeros(4))
+    top = (1 << ctx.bits) - 1
+    with pytest.raises(ValueError, match="packed"):
+        ctx.compose(Poly(4, {(top, 0, 0, 0): 1.0}), Poly(4, {(0, 1, 0, 0): 1.0}))
+    assert not ctx._mu_memo and not ctx._mv_memo
 
 
 def test_singular_composition_raises(space):
@@ -293,6 +316,28 @@ def test_oracle_refinement_error_decreases(space):
     ref = star(f, g).evaluate(z)
     errs = [abs(_twisted_quadrature(f, g, z, 8.0, pts) - ref) for pts in (16, 32, 64)]
     assert errs[1] < errs[0] and errs[2] < errs[1]
+
+
+def test_oracle_box_holds_slow_tails(space):
+    # Re A floor 0.41: the tails need a half-width of about 10, and a box
+    # capped at 8 missed this value (0.96 beside a peak of 800) by 2.5e-5
+    def gaussian(*terms):
+        return QGFunction(space, [QGTerm(Poly(2, poly), QuadExponent(np.array(A), np.array(b)))
+                                  for A, b, poly in terms])
+
+    f = gaussian(([[3.64 - 1.78j, 2.25 - 0.34j], [2.25 - 0.34j, 2.19 + 0.28j]], [-0.62 + 0.5j, -1.17 - 0.67j],
+                  {(0, 1): -1.45 + 0.98j, (2, 0): -1.76 - 0.75j, (3, 1): -1.37 + 2.1j}),
+                 ([[0.52 + 0.23j, -0.12 + 0.3j], [-0.12 + 0.3j, 1.42 - 0.24j]], [-0.9 + 0.11j, -0.5 + 0.39j],
+                  {(0, 1): 1.41 + 1.16j, (2, 0): 2.04 + 1.52j, (3, 1): 2.26 + 1.52j}))
+    g = gaussian(([[1.53 + 0.37j, 0.03 - 0.26j], [0.03 - 0.26j, 0.41 + 0.53j]], [-0.76 - 0.08j, -0.76 + 0.26j],
+                  {(0, 1): -0.07 + 0.44j, (1, 1): 0.46 + 0.26j, (1, 3): 0.11 - 0.49j}),
+                 ([[4.09 - 0.71j, 0.99 + 0.73j], [0.99 + 0.73j, 1.61 + 0.82j]], [-0.42 + 0.1j, -0.18 + 0.16j],
+                  {(1, 0): 0.48 - 0.11j, (1, 1): 0.43 - 0.48j, (3, 1): -0.18 - 1.2j}))
+    z = [-0.42, 0.67]
+    closed = star(f, g).evaluate(z)
+    capped = quadrature_star_oracle(f, g, z, StarConfig(oracle_grid_halfwidth=8.0))
+    assert abs(capped - closed) > 1e-6 * abs(closed)
+    assert abs(quadrature_star_oracle(f, g, z) - closed) <= 1e-9 * abs(closed)
 
 
 def test_oracle_non_integrable_raises(space2):

@@ -3,11 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from conftest import random_gaussian
+from mqds.algebra import VarSpace
+from mqds.star import star
 from mqds.verify import (CHECK_REGISTRY, DEFAULT_TOLERANCES, CheckEntry,
-                         check_classical_limit, check_eigen, check_identity_resolution,
-                         run_all)
+                         check_classical_limit, check_conjugation, check_eigen,
+                         check_identity_resolution, relative_gap, run_all)
 
 
 def test_registry_names_fixed():
@@ -116,3 +120,23 @@ def test_identities_hold_at_nondefault_parameters():
                              "evolution_match", "pair_transform_match"],
                   hbar=0.5, omega=1.3, gamma=0.8)
     assert rep.all_passed, [(e.name, e.params) for e in rep.failed_entries()]
+
+
+@pytest.mark.parametrize("seed", [32, 133, 174, 193, 395, 599948519])
+def test_conj_antihomomorphism_scaled_by_the_products(seed):
+    # |f||g| underestimates |f*g| by up to 2700 on these seeds, which pushed
+    # rounding past the 1e-12 tolerance when it was the denominator
+    entries = [e for e in check_conjugation(seed=seed).entries
+               if e.params.get("identity") == "conj_antihomomorphism"]
+    assert len(entries) == 5
+    assert all(e.passed for e in entries)
+
+
+def test_conj_wrong_order_identity_fails():
+    # conj(f*g) = conj(f)*conj(g) is false, and the metric says so plainly
+    sp = VarSpace(1, 1.0)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        f, g = random_gaussian(sp, rng), random_gaussian(sp, rng)
+        assert relative_gap(star(f, g).conjugate(), star(g.conjugate(), f.conjugate())) <= 1e-13
+        assert relative_gap(star(f, g).conjugate(), star(f.conjugate(), g.conjugate())) >= 1.0
