@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -205,9 +205,36 @@ class QGFunction:
             total += t.poly.eval(z) * np.exp(t.expo.q_eval(z))
         return complex(total)
 
-    def evaluate_grid(self, zs: np.ndarray) -> np.ndarray:
-        """Evaluate on an (n, 2N) array of points (row-wise)."""
-        return np.array([self.evaluate(z) for z in zs], dtype=complex)
+    def evaluate_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Evaluate on the tensor grid of one 1-D node array per variable.
+
+        Returns an array of shape tuple(len(a) for a in axes), computed by
+        broadcasting (no point list in memory); a variable held fixed is a
+        length-1 axis.
+        """
+        d = self.space.dim
+        if len(axes) != d:
+            raise ValueError(f"got {len(axes)} axes, expected {d}")
+        shape = tuple(len(a) for a in axes)
+        xs = [np.reshape(a, [len(a) if i == k else 1 for i in range(d)]) for k, a in enumerate(axes)]
+        vals = np.zeros(shape, dtype=complex)
+        for t in self.terms:
+            A, b = t.expo.A, t.expo.b
+            q = np.full(shape, t.expo.c, dtype=complex)
+            for i in range(d):
+                q += -0.5 * A[i, i] * xs[i] ** 2 + b[i] * xs[i]
+                for j in range(i + 1, d):
+                    if A[i, j] != 0:
+                        q += (-A[i, j]) * xs[i] * xs[j]
+            pv = np.zeros(shape, dtype=complex)
+            for e, coef in t.poly.terms.items():
+                mono = np.full(shape, coef, dtype=complex)
+                for x, k in zip(xs, e):
+                    if k:
+                        mono *= x.astype(complex) ** k
+                pv += mono
+            vals += pv * np.exp(q)
+        return vals
 
     def differentiate(self, var_index: int) -> "QGFunction":
         if not (0 <= var_index < self.space.dim):
@@ -235,9 +262,6 @@ class QGFunction:
         return QGFunction(self.space,
                           [QGTerm(t.poly.conj(), t.expo.conj()) for t in self.terms],
                           canonical=True)
-
-    def real_part(self) -> "QGFunction":
-        return (self + self.conjugate()).scaled(0.5)
 
     def gaussian_integral(self) -> complex:
         """Integral over R^{2N}, Fresnel-regularized; raises NonIntegrable."""

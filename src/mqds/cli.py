@@ -179,9 +179,7 @@ def cmd_eigenfunction(args) -> int:
     names = space.var_names()
     axis_by_name = dict(axes)
     grids = [axis_by_name.get(nm, np.array([0.0])) for nm in names]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = f.evaluate_grid(pts)
+    values = f.evaluate_grid(grids).ravel()
 
     meta = {"model": model.kind, "family": args.family, "indices": list(indices),
             "sign": args.sign, "hbar": args.hbar,
@@ -197,6 +195,8 @@ def cmd_eigenfunction(args) -> int:
     else:
         header = ",".join(names) + ",re,im"
         lines = [header]
+        mesh = np.meshgrid(*grids, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
         for row, v in zip(pts, values):
             lines.append(",".join([_fmt(c.real) for c in row] + [_fmt(v.real), _fmt(v.imag)]))
         _emit("\n".join(lines) + "\n", args.out)

@@ -344,12 +344,3 @@ def multi_factorial(e: Exponent) -> float:
     for k in e:
         out *= math.factorial(k)
     return out
-
-
-def multi_binom(e: Exponent, k: Exponent) -> float:
-    out = 1.0
-    for a, b in zip(e, k):
-        if b > a:
-            return 0.0
-        out *= math.comb(a, b)
-    return out

@@ -326,37 +326,6 @@ def _dampened(f: QGFunction, eps: float) -> QGFunction:
     return QGFunction(f.space, out, canonical=True)
 
 
-def _grid_eval(f: QGFunction, axes: List[np.ndarray]) -> np.ndarray:
-    """Evaluate f on a tensor grid via broadcasting (no point list in memory)."""
-    d = len(axes)
-    shape = [len(a) for a in axes]
-
-    def bcast(arr: np.ndarray, axis: int) -> np.ndarray:
-        s = [1] * d
-        s[axis] = len(arr)
-        return arr.reshape(s)
-
-    vals = np.zeros(shape, dtype=complex)
-    for t in f.terms:
-        A, b, c = t.expo.A, t.expo.b, t.expo.c
-        q = np.full(shape, c, dtype=complex)
-        for i in range(d):
-            qi = -0.5 * A[i, i] * axes[i] ** 2 + b[i] * axes[i]
-            q += bcast(qi.astype(complex), i)
-            for j in range(i + 1, d):
-                if A[i, j] != 0:
-                    q += (-A[i, j]) * bcast(axes[i].astype(complex), i) * bcast(axes[j].astype(complex), j)
-        pv = np.zeros(shape, dtype=complex)
-        for e, coef in t.poly.terms.items():
-            mono = np.full(shape, coef, dtype=complex)
-            for i, k in enumerate(e):
-                if k:
-                    mono *= bcast(axes[i].astype(complex) ** k, i)
-            pv += mono
-        vals += pv * np.exp(q)
-    return vals
-
-
 def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
                         halfwidth: float, points: int) -> complex:
     """Tensor Gauss-Legendre quadrature of the twisted-product integral."""
@@ -367,8 +336,8 @@ def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
     weights = weights * halfwidth
     axes = [nodes] * space.dim
 
-    F = _grid_eval(f, axes)
-    G = _grid_eval(g, axes)
+    F = f.evaluate_grid(axes)
+    G = g.evaluate_grid(axes)
     wslice = [weights] * space.dim
     for arr, ws in ((F, wslice), (G, wslice)):
         for ax, w in enumerate(ws):

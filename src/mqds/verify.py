@@ -14,6 +14,7 @@ Default tolerances (ordered by the amount of numerical machinery involved):
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -29,8 +30,9 @@ from .models import (ModelId, WaveFunction, conjugation_by_V, dho_f, dho_g, eige
                      oscillator_wigner, oscillator_wigner_ladder, toy_resonant,
                      toy_resonant_ladder, wigner_pair_transform)
 from .poly import Poly
-from .star import (StarConfig, classical_flow_matrix, moyal_bracket, quadrature_star_oracle,
-                   star, star_exp_closed_taylor, star_exp_series, star_power)
+from .star import (StarConfig, classical_flow_matrix, evolve, moyal_bracket,
+                   quadrature_star_oracle, star, star_exp_closed_taylor, star_exp_series,
+                   star_power)
 
 CHECK_REGISTRY = (
     "eigen_residual",
@@ -309,24 +311,23 @@ def _marginal_test_functions(space: VarSpace, direction: str) -> List[Tuple[str,
     return out
 
 
-def _grid_pair_reference(f: QGFunction, test: QGFunction, halfwidth: float = 9.0,
-                         points: int = 140) -> complex:
-    """Independent tensor-grid quadrature of int f * test (N = 1 only)."""
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    nodes = nodes * halfwidth
-    weights = weights * halfwidth
-    X, P = np.meshgrid(nodes, nodes, indexing="ij")
+def _grid_pair_reference(f: QGFunction, test: QGFunction, points: int = 140) -> complex:
+    """Independent tensor Gauss-Legendre quadrature of int f * test.
+
+    Each axis spans 12.7 / sqrt(min over terms of Re A_ii) either side of the
+    origin, where the slowest Gaussian of the product has fallen to e^-80, so
+    the box follows the product's own width at every hbar."""
     prod = f.mul(test)
-    vals = np.zeros(X.shape, dtype=complex)
-    for t in prod.terms:
-        A, b, c = t.expo.A, t.expo.b, t.expo.c
-        q = (-0.5 * (A[0, 0] * X * X + 2 * A[0, 1] * X * P + A[1, 1] * P * P)
-             + b[0] * X + b[1] * P + c)
-        pv = np.zeros(X.shape, dtype=complex)
-        for e, coef in t.poly.terms.items():
-            pv += coef * X ** e[0] * P ** e[1]
-        vals += pv * np.exp(q)
-    return complex(np.einsum("i,j,ij->", weights, weights, vals))
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    axes, axis_weights = [], []
+    for i in range(prod.space.dim):
+        halfwidth = 12.7 / math.sqrt(min(t.expo.A[i, i].real for t in prod.terms))
+        axes.append(nodes * halfwidth)
+        axis_weights.append(weights * halfwidth)
+    total = prod.evaluate_grid(axes)
+    for w in reversed(axis_weights):
+        total = total @ w
+    return complex(total)
 
 
 def check_marginals(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
@@ -464,7 +465,6 @@ def check_evolution(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
             worst = max(worst, (lhs - rhs).coeff_norm() / max(rhs.coeff_norm(), 1e-300))
         rec.add(worst, model=model.kind, kind="moyal_is_poisson")
 
-        from .star import evolve
         for t in (0.1, 0.5):
             Wt = evolve(f, model, t)
             ref = f.substitute_linear(classical_flow_matrix(model, -t))
@@ -472,8 +472,7 @@ def check_evolution(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
                     model=model.kind, kind="classical_characteristics", t=t)
         Wn = oscillator_wigner(2, sp) if model.kind == "harmonic_oscillator" \
             else toy_resonant(2, "+", sp)
-        from .star import evolve as _ev
-        rec.add((_ev(Wn, model, 0.4) - Wn).coeff_norm() / Wn.coeff_norm(), tolerance=1e-9,
+        rec.add((evolve(Wn, model, 0.4) - Wn).coeff_norm() / Wn.coeff_norm(), tolerance=1e-9,
                 model=model.kind, kind="stationarity", t=0.4)
     return rec.report()
 
@@ -675,6 +674,7 @@ _CHECK_FUNCTIONS: Dict[str, Callable[..., VerificationReport]] = {
     "pair_transform_match": check_pair_transform,
     "classical_limit": check_classical_limit,
 }
+_CHECK_PARAMS = {name: inspect.signature(fn).parameters for name, fn in _CHECK_FUNCTIONS.items()}
 
 
 def run_all(selectors: Iterable[str] | None = None, seed: int = 0,
@@ -694,10 +694,8 @@ def run_all(selectors: Iterable[str] | None = None, seed: int = 0,
     for name in names:
         fn = _CHECK_FUNCTIONS[name]
         kwargs: Dict[str, object] = {}
-        import inspect
-        params = inspect.signature(fn).parameters
         for key, val in (("hbar", hbar), ("omega", omega), ("gamma", gamma), ("seed", seed)):
-            if key in params:
+            if key in _CHECK_PARAMS[name]:
                 kwargs[key] = val
         if name in tolerance_overrides:
             kwargs["tolerance"] = tolerance_overrides[name]

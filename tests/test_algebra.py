@@ -5,6 +5,7 @@ moment 1/8 below, the 1/pi values) or produced by the independent scipy
 quadrature oracle alongside the assertion.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.integrate import dblquad
 from conftest import f0_plus, random_gaussian, random_polynomial, w0
 from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
 from mqds.gausspoly import NonIntegrable
+from mqds.models import dho_f, dho_g, oscillator_wigner, toy_resonant
 from mqds.poly import Poly
 
 
@@ -46,6 +48,36 @@ def test_evaluate_f0_plus(space):
 def test_evaluate_dimension_mismatch(space):
     with pytest.raises(ValueError):
         w0(space).evaluate([1.0, 2.0, 3.0])
+
+
+def _grid_gap(f, axes):
+    """Largest |evaluate_grid - evaluate| over the grid, relative to the peak."""
+    got = f.evaluate_grid(axes)
+    assert got.shape == tuple(len(a) for a in axes)
+    want = np.array([f.evaluate(z) for z in itertools.product(*axes)]).reshape(got.shape)
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("build", [lambda sp: oscillator_wigner(12, sp),
+                                   lambda sp: toy_resonant(6, "+", sp),
+                                   lambda sp: toy_resonant(6, "-", sp)],
+                         ids=["W12", "F6+", "F6-"])
+def test_evaluate_grid_matches_evaluate_one_dof(space, build):
+    axes = [np.linspace(-4.0, 4.0, 33), np.linspace(-3.0, 2.5, 29)]
+    assert _grid_gap(build(space), axes) <= 1e-14
+
+
+@pytest.mark.parametrize("build", [lambda sp: dho_f(3, 3, "+", sp), lambda sp: dho_g(4, 2, sp)],
+                         ids=["F33", "G42"])
+def test_evaluate_grid_matches_evaluate_pinned_axes(space2, build):
+    axes = [np.linspace(-2.5, 2.5, 15), np.array([0.4]), np.array([-0.7]),
+            np.linspace(-2.0, 2.0, 13)]
+    assert _grid_gap(build(space2), axes) <= 1e-14
+
+
+def test_evaluate_grid_axis_count_mismatch(space):
+    with pytest.raises(ValueError):
+        w0(space).evaluate_grid([np.zeros(3)])
 
 
 # -- differentiate -----------------------------------------------------------

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from mqds import VarSpace, oscillator_wigner
+
 
 def run_cli(*args, timeout=300):
     return subprocess.run([sys.executable, "-m", "mqds.cli", *args],
@@ -107,6 +109,21 @@ def test_eigenfunction_json_grid_dump(tmp_path):
     meta = data["metadata"]
     assert meta["model"] == "harmonic_oscillator" and meta["indices"] == [1]
     assert {"hbar", "sign", "family", "parameters"} <= set(meta)
+
+
+def test_eigenfunction_rows_are_x_major():
+    grid = ("--model", "oscillator", "--family", "W", "--n", "2", "--grid", "x=-1:1:3,p=-2:2:5")
+    csv = run_cli("eigenfunction", *grid)
+    js = run_cli("eigenfunction", *grid, "--format", "json")
+    assert csv.returncode == 0 and js.returncode == 0
+    rows = [[float(v) for v in row.split(",")] for row in csv.stdout.strip().splitlines()[1:]]
+    xs, ps = np.linspace(-1, 1, 3), np.linspace(-2, 2, 5)
+    assert [(x, p) for x, p, _, _ in rows] == [(x, p) for x in xs for p in ps]
+    W2 = oscillator_wigner(2, VarSpace(1, 1.0))
+    values = json.loads(js.stdout)["values"]
+    for (x, p, re, im), (jre, jim) in zip(rows, values):
+        want = W2.evaluate([x, p])
+        assert abs(complex(re, im) - want) <= 1e-14 and complex(jre, jim) == complex(re, im)
 
 
 def test_eigenfunction_degenerate_grid():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqds.poly import (PACKED_MUL_MIN_PAIRS, Poly, _mul_loop, _mul_packed, multi_binom,
+from mqds.poly import (PACKED_MUL_MIN_PAIRS, Poly, _mul_loop, _mul_packed,
                        multi_factorial, multi_indices, packed_bits)
 
 
@@ -65,8 +65,6 @@ def test_multi_indices_count():
     # number of 2-variable multi-indices with |a| <= 3 is C(5,2) = 10
     assert len(list(multi_indices(2, 3))) == 10
     assert multi_factorial((3, 2)) == 12
-    assert multi_binom((3, 2), (1, 2)) == 3
-    assert multi_binom((1, 0), (2, 0)) == 0
 
 
 @settings(max_examples=60, deadline=None)

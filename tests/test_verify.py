@@ -140,3 +140,13 @@ def test_conj_wrong_order_identity_fails():
         f, g = random_gaussian(sp, rng), random_gaussian(sp, rng)
         assert relative_gap(star(f, g).conjugate(), star(g.conjugate(), f.conjugate())) <= 1e-13
         assert relative_gap(star(f, g).conjugate(), star(f.conjugate(), g.conjugate())) >= 1.0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("hbar", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+def test_marginals_pass_at_any_hbar(hbar):
+    # the W entries compare against a grid quadrature whose box follows the
+    # product's width; a fixed +-9 box missed by up to 0.5 at hbar = 0.01 and 100
+    rep = run_all(selectors=["marginal_delta"], hbar=hbar)
+    assert len(rep.entries) == 24
+    assert rep.all_passed, [(e.params, e.residual) for e in rep.failed_entries()]
