@@ -16,7 +16,7 @@ from .models import (LadderSet, ModelId, SpectrumEntry, UnsupportedPair, WaveFun
 from .poly import Poly
 from .star import (EvolutionSingular, OracleNotConverged, StarConfig, classical_flow_matrix,
                    evolve, moyal_bracket, quadrature_star_oracle, star, star_exp_closed,
-                   star_exp_closed_taylor, star_exp_series, star_power)
+                   star_exp_closed_taylor, star_exp_series)
 from .verify import (CHECK_REGISTRY, CheckEntry, VerificationReport, run_all)
 
 __version__ = "0.1.0"
@@ -30,6 +30,6 @@ __all__ = [
     "hamiltonian", "hyperbolic_frame_matrix", "koopman_apply", "ladder_set",
     "lift_dynamics", "moyal_bracket", "oscillator_wigner", "oscillator_wigner_ladder",
     "poisson_bracket", "quadrature_star_oracle", "run_all", "spectrum", "star",
-    "star_exp_closed", "star_exp_closed_taylor", "star_exp_series", "star_power",
+    "star_exp_closed", "star_exp_closed_taylor", "star_exp_series",
     "toy_resonant", "toy_resonant_ladder", "wigner_pair_transform",
 ]

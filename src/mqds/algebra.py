@@ -46,12 +46,6 @@ class VarSpace:
     def dim(self) -> int:
         return 2 * self.n_dof
 
-    def x_index(self, k: int = 0) -> int:
-        return k
-
-    def p_index(self, k: int = 0) -> int:
-        return self.n_dof + k
-
     def var_names(self) -> List[str]:
         if self.n_dof == 1:
             return ["x", "p"]

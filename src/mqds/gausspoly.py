@@ -10,8 +10,11 @@ Conventions:
 * integral over R^d of exp(-1/2 z^T A z + b^T z) equals
   (2 pi)^(d/2) det(A)^(-1/2) exp(1/2 b^T A^{-1} b), valid for Re A > 0 and
   extended to oscillatory exponents by the Fresnel limit A -> A + eps*I,
-  eps -> 0+.  The determinant root is taken as the product of per-eigenvalue
-  principal square roots, which is the branch continuous along eps.
+  eps -> 0+.  For nonsingular A with Re A >= 0 and no negative real
+  eigenvalue (anything else raises NonIntegrable) the closed form is analytic
+  in eps at 0, so the limit is evaluated directly at eps = 0.  The
+  determinant root is the product of per-eigenvalue principal square roots,
+  the branch continuous along eps.
 * polynomial moments come from the Gaussian integration-by-parts recursion
       E[z^(a+e_i)] = mu_i E[z^a] + sum_j Sigma_ij a_j E[z^(a-e_j)]
   with mu = A^{-1} b and Sigma = A^{-1}; it holds for complex symmetric A by
@@ -43,16 +46,16 @@ def sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _branch_sqrt_det(eigs: np.ndarray, eps: float = 0.0) -> complex:
-    """Product of principal square roots of (lambda_k + eps).
+def _branch_sqrt_det(eigs: np.ndarray) -> complex:
+    """Product of principal square roots of the eigenvalues lambda_k.
 
-    This equals the branch of det(A + eps I)^(1/2) obtained by continuous
-    deformation from large eps, provided no eigenvalue sits on the negative
-    real axis (callers must check).
+    When every lambda_k is nonzero and has Re >= 0 (callers must check), no
+    lambda_k + eps crosses the principal root's branch cut for eps >= 0, so
+    this is the branch of det(A + eps I)^(1/2) continued from large eps.
     """
     out = 1.0 + 0j
     for lam in eigs:
-        out *= np.sqrt(lam + eps)
+        out *= np.sqrt(lam)
     return complex(out)
 
 
@@ -173,56 +176,21 @@ def packed_moments(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: 
     return {a: get(tuple(a)) for a in needed}
 
 
-def _closed_value(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
-                  eigs: np.ndarray, eps: float) -> complex:
-    d = A.shape[0]
-    M = A + eps * np.eye(d)
-    Minv = np.linalg.inv(M)
-    mu = Minv @ b
-    pref = (2.0 * math.pi) ** (d / 2.0) / _branch_sqrt_det(eigs, eps)
-    base = pref * np.exp(0.5 * b @ mu + c)
-    mom = moments_scalar(Minv, mu, list(poly.terms.keys()))
-    acc = 0j
-    for e, coef in poly.terms.items():
-        acc += coef * mom[e]
-    return complex(base * acc)
-
-
-def integrate_poly_exp(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
-                       eps_start: float = 1e-2, eps_stop: float = 1e-8,
-                       eps_ratio: float = 0.1, conv_tol: float = 1e-8) -> complex:
+def integrate_poly_exp(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly) -> complex:
     """Fresnel-regularized integral of P(z) exp(-z.A.z/2 + b.z + c) over R^d.
 
-    Evaluates the closed form on a geometric eps ladder and Richardson
-    (Neville) extrapolates to eps = 0; raises NonIntegrable when the
-    tableau fails to settle within `conv_tol` (relative).
+    On the spectra `_check_fresnel_spectrum` admits, the closed form is
+    analytic in eps at 0, so the eps -> 0+ limit is its value at eps = 0.
     """
     if poly.is_zero():
         return 0j
-    scale = float(np.abs(A).max(initial=0.0))
-    eigs = _check_fresnel_spectrum(A, scale)
-
-    eps_list: List[float] = []
-    eps = eps_start
-    while eps >= eps_stop * (1 - 1e-12):
-        eps_list.append(eps)
-        eps *= eps_ratio
-    vals = [_closed_value(A, b, c, poly, eigs, e) for e in eps_list]
-
-    # Neville tableau extrapolated to eps = 0.
-    tbl = list(vals)
-    last_diag = tbl[0]
-    diag_prev = None
-    for k in range(1, len(eps_list)):
-        for j in range(len(eps_list) - 1, k - 1, -1):
-            x_hi, x_lo = eps_list[j - k], eps_list[j]
-            tbl[j] = tbl[j] + (tbl[j] - tbl[j - 1]) * (x_lo / (x_hi - x_lo))
-        diag_prev, last_diag = last_diag, tbl[-1]
-    if diag_prev is not None:
-        err = abs(last_diag - diag_prev)
-        if err > conv_tol * max(1.0, abs(last_diag)):
-            raise NonIntegrable(f"eps-extrapolation did not converge (residual {err:.3g})")
-    return complex(last_diag)
+    d = A.shape[0]
+    eigs = _check_fresnel_spectrum(A, float(np.abs(A).max(initial=0.0)))
+    Ainv = np.linalg.inv(A)
+    mu = Ainv @ b
+    base = (2.0 * math.pi) ** (d / 2.0) / _branch_sqrt_det(eigs) * np.exp(0.5 * b @ mu + c)
+    mom = moments_scalar(Ainv, mu, list(poly.terms))
+    return complex(base * sum(coef * mom[e] for e, coef in poly.terms.items()))
 
 
 def integrate_partial(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
@@ -230,9 +198,9 @@ def integrate_partial(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
     """Integrate out the variables `out_idx`, keeping the rest.
 
     Returns (A', b', c', P') over the kept variables, in their original
-    relative order.  Requires the out-block to have Re >= 0 spectrum and be
-    nonsingular (principal-branch prefactor; no eps ladder here since each
-    call site guarantees an honestly convergent block).
+    relative order.  The out-block goes through `_check_fresnel_spectrum`
+    (NonIntegrable otherwise), and the prefactor is the closed form at
+    eps = 0, as in `integrate_poly_exp`.
     """
     d = A.shape[0]
     out_idx = sorted(out_idx)

@@ -46,7 +46,6 @@ class OracleNotConverged(Exception):
 
 @dataclass(frozen=True)
 class StarConfig:
-    series_tolerance: float = 1e-13
     # cap on the decaying path's box half-width, sqrt(36/floor) + |z|: a cap
     # of 8 cut the tails at Re A floors near 0.4 (a 2.5e-5 miss)
     oracle_grid_halfwidth: float = 12.0
@@ -145,13 +144,6 @@ def moyal_bracket(f: QGFunction, g: QGFunction) -> QGFunction:
 # ---------------------------------------------------------------------------
 # star exponentials and time evolution
 # ---------------------------------------------------------------------------
-
-def star_power(f: QGFunction, k: int) -> QGFunction:
-    out = QGFunction.constant(f.space, 1.0)
-    for _ in range(k):
-        out = star(out, f)
-    return out
-
 
 def star_exp_series(H: QGFunction, order: int) -> List[QGFunction]:
     """Taylor coefficients in t of Exp(-(i/hbar) t H): coefficient k is

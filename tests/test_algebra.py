@@ -213,6 +213,13 @@ def test_integral_f0_plus(space):
     assert f0_plus(space).gaussian_integral() == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("lam", [1e-3, 1e-5, 1e-7])
+def test_integral_of_wide_gaussian(lam, space):
+    # a 1e-2 .. 1e-8 eps ladder was off by 1.2e-7 at lam = 1e-5 and raised at 1e-7
+    f = QGFunction.from_exponent(space, np.diag([lam, 1.0]))
+    assert f.gaussian_integral() == pytest.approx(2 * math.pi / math.sqrt(lam), rel=1e-13)
+
+
 def test_integral_g00_not_integrable(space2):
     A = np.zeros((4, 4))
     A[0, 3] = A[3, 0] = -2.0

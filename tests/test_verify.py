@@ -145,8 +145,12 @@ def test_conj_wrong_order_identity_fails():
 @pytest.mark.slow
 @pytest.mark.parametrize("hbar", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
 def test_marginals_pass_at_any_hbar(hbar):
-    # the W entries compare against a grid quadrature whose box follows the
-    # product's width; a fixed +-9 box missed by up to 0.5 at hbar = 0.01 and 100
-    rep = run_all(selectors=["marginal_delta"], hbar=hbar)
-    assert len(rep.entries) == 24
+    # every check but star_orthogonality, whose oracle box does not follow
+    # hbar.  The marginal_delta W entries compare against a grid quadrature
+    # whose box follows the product's width (a fixed +-9 box missed by up to
+    # 0.5 at hbar = 0.01 and 100); the generator_series entries of
+    # complex_scaling_match nest brackets (a binomial sum of star powers
+    # missed by 3.75 at hbar = 1e-3)
+    rep = run_all(selectors=[c for c in CHECK_REGISTRY if c != "star_orthogonality"], hbar=hbar)
+    assert len(rep.entries) == 295
     assert rep.all_passed, [(e.params, e.residual) for e in rep.failed_entries()]
