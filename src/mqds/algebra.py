@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .gausspoly import integrate_poly_exp, sym
-from .poly import Exponent, Poly
+from .poly import Exponent, Poly, check_packed_degree, packed_bits, packed_diff
 
 PRUNE_REL_TOL = 1e-13      # relative to the largest coefficient, z in units of sqrt(hbar)
 EXPO_EQ_TOL = 1e-12        # absolute, entrywise, for term merging
@@ -85,10 +85,6 @@ class QuadExponent:
     def q_eval(self, z: np.ndarray) -> complex:
         return complex(-0.5 * z @ self.A @ z + self.b @ z + self.c)
 
-    def grad_poly(self, index: int) -> Poly:
-        """d q / d z_index as a (linear) polynomial."""
-        return Poly.linear(-self.A[index, :], self.b[index])
-
     def conj(self) -> "QuadExponent":
         return QuadExponent(self.A.conjugate(), self.b.conjugate(), self.c.conjugate())
 
@@ -103,8 +99,13 @@ class QGTerm:
         self.expo = expo
 
     def diff(self, index: int) -> "QGTerm":
-        p = self.poly.diff(index) + self.poly.mul(self.expo.grad_poly(index))
-        return QGTerm(p, self.expo)
+        """d_index (P e^q) = (d_index P + (d_index q) P) e^q, on packed exponents."""
+        dim = self.poly.dim
+        bits = packed_bits(dim)
+        check_packed_degree(self.poly.degree() + 1, bits, dim)
+        keys, coeffs = packed_diff(*self.poly.to_packed(bits), index, bits,
+                                   -self.expo.A[index], self.expo.b[index])
+        return QGTerm(Poly.from_packed(dim, bits, keys, coeffs), self.expo)
 
     def mul(self, other: "QGTerm") -> "QGTerm":
         expo = QuadExponent(self.expo.A + other.expo.A,
@@ -341,7 +342,8 @@ def _canonicalize(space: VarSpace, terms: List[QGTerm]) -> List[QGTerm]:
         p = t.poly.pruned(tol, unit)
         if not p.is_zero():
             out.append(QGTerm(p, t.expo))
-    out.sort(key=_term_sort_key)
+    if len(out) > 1:
+        out.sort(key=_term_sort_key)
     return out
 
 

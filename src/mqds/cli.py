@@ -8,6 +8,7 @@ data goes to stdout or --out.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -193,12 +194,11 @@ def cmd_eigenfunction(args) -> int:
         }
         _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        header = ",".join(names) + ",re,im"
-        lines = [header]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        for row, v in zip(pts, values):
-            lines.append(",".join([_fmt(c.real) for c in row] + [_fmt(v.real), _fmt(v.imag)]))
+        # rows are x-major, as values are: the last axis varies fastest
+        coords = itertools.product(*([_fmt(c) for c in g.tolist()] for g in grids))
+        lines = [",".join(names) + ",re,im"]
+        lines.extend(",".join(row + (_fmt(v.real), _fmt(v.imag)))
+                     for row, v in zip(coords, values.tolist()))
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

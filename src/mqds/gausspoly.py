@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .poly import Exponent, Poly, merge, packed_bits, unpack
+from .poly import Exponent, Poly, check_packed_degree, merge, packed_bits, unpack
 
 _EIG_TOL = 1e-12
 
@@ -311,9 +311,7 @@ class CompositionContext:
         d, bits = self.d, self.bits
         if P1.is_zero() or P2.is_zero():
             return Poly(d)
-        if P1.degree() + P2.degree() >= 1 << bits:
-            raise ValueError(f"degree {P1.degree() + P2.degree()} exceeds the packed "
-                             f"composition's {(1 << bits) - 1} for N = {d // 2}")
+        check_packed_degree(P1.degree() + P2.degree(), bits, 2 * d)
         mv = packed_moments(self.G_vv, *self._v_form, bits, P2.terms, self._mv_memo)
         keys, coeffs = merge(np.concatenate([mv[delta][0] for delta in P2.terms]),
                              np.concatenate([c2 * mv[delta][1] for delta, c2 in P2.terms.items()]))

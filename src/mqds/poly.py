@@ -6,7 +6,8 @@ polynomial.  Serialization order is graded lexicographic.
 Large products run on packed exponents: a monomial's exponent tuple packs
 into one int64 key, variable i in bits [bits*i, bits*(i+1)), so that adding
 keys multiplies monomials as long as no exponent reaches 2**bits.  The
-Gaussian composition keeps its moment tables in this form.
+Gaussian composition keeps its moment tables in this form, and the
+bidifferential series and derivatives run on it (`packed_diff`).
 """
 
 from __future__ import annotations
@@ -141,21 +142,9 @@ class Poly:
                 t[e] = acc
 
     def diff(self, index: int) -> "Poly":
-        out: Dict[Exponent, complex] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k:
-                e2 = list(e)
-                e2[index] = k - 1
-                e2 = tuple(e2)
-                acc = out.get(e2, 0j) + k * c
-                if acc == 0:
-                    out.pop(e2, None)
-                else:
-                    out[e2] = acc
-        p = Poly(self.dim)
-        p.terms = out
-        return p
+        """d P / d z_index."""
+        bits = packed_bits(self.dim)
+        return Poly.from_packed(self.dim, bits, *packed_diff(*self.to_packed(bits), index, bits))
 
     def conj(self) -> "Poly":
         p = Poly(self.dim)
@@ -229,6 +218,17 @@ class Poly:
         p.terms = dict(zip(map(tuple, unpack(keys, dim, bits).tolist()), coeffs.tolist()))
         return p
 
+    def to_packed(self, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(int64 keys, complex coeffs) in term order, the inverse of from_packed;
+        ValueError when an exponent is negative or needs more than `bits` bits."""
+        try:
+            exps = np.array(list(self.terms), dtype=np.int64).reshape(len(self.terms), self.dim)
+            if exps.size and (exps.min() < 0 or int(exps.max()) >> bits):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"an exponent does not fit a {bits}-bit field") from None
+        return pack(exps, bits), np.array(list(self.terms.values()), dtype=complex)
+
     def canonical_items(self):
         """Items sorted in graded-lex order (total degree, then exponents)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -267,16 +267,14 @@ def _mul_packed(p: Poly, q: Poly) -> Poly | None:
     if not p.terms or not q.terms:
         return Poly(p.dim)
     try:
-        e1 = np.array(list(p.terms), dtype=np.int64)
-        e2 = np.array(list(q.terms), dtype=np.int64)
-    except OverflowError:
+        k1, c1 = p.to_packed(bits)
+        k2, c2 = q.to_packed(bits)
+    except ValueError:
         return None
-    top = map(operator.add, e1.max(axis=0).tolist(), e2.max(axis=0).tolist())
-    if min(e1.min(), e2.min()) < 0 or max(top) >= 1 << bits:
+    tops = (unpack(k, p.dim, bits).max(axis=0).tolist() for k in (k1, k2))
+    if max(map(operator.add, *tops)) >= 1 << bits:
         return None
-    keys = (pack(e1, bits)[:, None] + pack(e2, bits)[None, :]).ravel()
-    c1 = np.array(list(p.terms.values()), dtype=complex)
-    c2 = np.array(list(q.terms.values()), dtype=complex)
+    keys = (k1[:, None] + k2[None, :]).ravel()
     a, b = c1.real[:, None], c1.imag[:, None]
     c, d = c2.real[None, :], c2.imag[None, :]
     uniq, first, inv = _unique(keys)
@@ -294,6 +292,13 @@ def packed_bits(dim: int) -> int:
     return 63 // dim if dim else 0
 
 
+def check_packed_degree(degree: int, bits: int, dim: int) -> None:
+    """ValueError when a packed result of total degree `degree` would overflow."""
+    if degree >= 1 << bits:
+        raise ValueError(f"degree {degree} exceeds the {(1 << bits) - 1} that packed "
+                         f"exponents hold over {dim} variables")
+
+
 def pack(exps: np.ndarray, bits: int) -> np.ndarray:
     """(n, dim) exponent rows -> n int64 keys."""
     shifts = np.arange(exps.shape[1], dtype=np.int64) * bits
@@ -304,6 +309,31 @@ def unpack(keys: np.ndarray, dim: int, bits: int) -> np.ndarray:
     """n int64 keys -> (n, dim) exponent rows."""
     shifts = np.arange(dim, dtype=np.int64) * bits
     return (keys[:, None] >> shifts) & ((1 << bits) - 1)
+
+
+def packed_diff(keys: np.ndarray, coeffs: np.ndarray, index: int, bits: int,
+                row: np.ndarray | None = None, const: complex = 0j) -> Tuple[np.ndarray, np.ndarray]:
+    """(d_index + g) P for a packed P, with g = row . z + const (g = 0 when
+    row is None).
+
+    Each nonzero row[k] multiplies P by z_k, which adds one to exponent k, so
+    the caller keeps the exponents below 2**bits - 1 when g is not constant.
+    """
+    shift = bits * index
+    e = (keys >> shift) & ((1 << bits) - 1)
+    has = e != 0
+    d_keys, d_coeffs = keys[has] - (1 << shift), coeffs[has] * e[has]
+    if row is None:
+        return d_keys, d_coeffs
+    nz = row.nonzero()[0]
+    if not len(nz) and const == 0:
+        return d_keys, d_coeffs
+    parts_k = [d_keys, (keys + np.left_shift(1, bits * nz)[:, None]).ravel()]
+    parts_c = [d_coeffs, (row[nz, None] * coeffs).ravel()]
+    if const != 0:
+        parts_k.append(keys)
+        parts_c.append(const * coeffs)
+    return merge(np.concatenate(parts_k), np.concatenate(parts_c))
 
 
 def _unique(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

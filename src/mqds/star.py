@@ -25,6 +25,7 @@ tensor Gauss-Legendre grid and is used to validate the composition rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -33,7 +34,8 @@ import numpy as np
 
 from .algebra import QGFunction, QGTerm, QuadExponent, VarSpace
 from .gausspoly import composition_context
-from .poly import Poly, multi_factorial, multi_indices
+from .poly import (Poly, check_packed_degree, merge, multi_factorial, multi_indices, packed_bits,
+                   packed_diff)
 
 
 class EvolutionSingular(Exception):
@@ -61,49 +63,74 @@ class StarConfig:
 # ---------------------------------------------------------------------------
 
 def _series_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm, bound: int) -> List[QGTerm]:
-    """Terminating bidifferential series for one term pair."""
-    n, hbar = space.n_dof, space.hbar
-    d1: Dict[Tuple, QGTerm] = {}
-    d2: Dict[Tuple, QGTerm] = {}
+    """Terminating bidifferential series for one term pair: one term over the
+    exponent q1 + q2, or none when the series vanishes.
 
-    def deriv(cache, base, alpha, beta, x_first: bool):
-        # x_first: x-derivatives use alpha (left factor); else swapped (right factor)
-        key = (alpha, beta)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        if sum(alpha) + sum(beta) == 0:
-            cache[key] = base
-            return base
-        for k in range(n):
-            if alpha[k]:
-                prev = deriv(cache, base, alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:], beta, x_first)
-                out = prev.diff(k if x_first else n + k)
-                break
-        else:
-            for k in range(n):
-                if beta[k]:
-                    prev = deriv(cache, base, alpha, beta[:k] + (beta[k] - 1,) + beta[k + 1:], x_first)
-                    out = prev.diff(n + k if x_first else k)
-                    break
-        cache[key] = out
-        return out
+    Each factor's derivatives are packed and memoized by multi-index; the
+    products of all (alpha, beta) go through one merge.  The factor without a
+    Gaussian goes first, since its derivatives vanish past its degree and the
+    other factor's derivative is then not needed.
+    """
+    n, dim = space.n_dof, space.dim
+    d1, d2 = t1.poly.degree(), t2.poly.degree()
+    if d1 < 0 or d2 < 0:
+        return []
+    bits = packed_bits(dim)
+    g1, g2 = not t1.expo.is_zero(), not t2.expo.is_zero()
+    # D_j raises a Gaussian factor's degree by one and lowers a polynomial's
+    check_packed_degree(max(d1 + g1 * bound, d2 + g2 * bound, d1 + d2 + 2 * g1 * g2 * bound),
+                        bits, dim)
+    left = _derivatives(t1, bits, swap=False)     # d_x^a d_p^b f
+    right = _derivatives(t2, bits, swap=True)     # d_p^a d_x^b g
+    first, second = (right, left) if g1 and not g2 else (left, right)
 
-    out_terms: List[QGTerm] = []
-    pref_base = 0.5j * hbar
+    keys, coeffs = [], []
+    pref_base = 0.5j * space.hbar
     for alpha in multi_indices(n, bound):
         ra = sum(alpha)
         for beta in multi_indices(n, bound - ra):
+            if not len(first(alpha, beta)[0]) or not len(second(alpha, beta)[0]):
+                continue
             rb = sum(beta)
             coeff = (pref_base ** (ra + rb)) * ((-1.0) ** rb)
             coeff /= multi_factorial(alpha) * multi_factorial(beta)
-            left = deriv(d1, t1, alpha, beta, True)     # d_x^a d_p^b f
-            right = deriv(d2, t2, alpha, beta, False)   # d_p^a d_x^b g
-            if left.poly.is_zero() or right.poly.is_zero():
-                continue
-            prod = left.mul(right)
-            out_terms.append(QGTerm(prod.poly.scaled(coeff), prod.expo))
-    return out_terms
+            (lk, lc), (rk, rc) = left(alpha, beta), right(alpha, beta)
+            keys.append((lk[:, None] + rk).ravel())
+            coeffs.append(((coeff * lc)[:, None] * rc).ravel())
+    if not keys:
+        return []
+    keys, coeffs = merge(np.concatenate(keys), np.concatenate(coeffs))
+    if not len(keys):
+        return []
+    e1, e2 = t1.expo, t2.expo
+    return [QGTerm(Poly.from_packed(dim, bits, keys, coeffs),
+                   QuadExponent(e1.A + e2.A, e1.b + e2.b, e1.c + e2.c))]
+
+
+def _derivatives(term: QGTerm, bits: int, swap: bool):
+    """(alpha, beta) -> d_x^alpha d_p^beta (P e^q) / e^q, packed and memoized
+    (d_p^alpha d_x^beta when `swap`).  Each is D_j = d_j + d_j q applied to the
+    multi-index one lower in its first nonzero variable."""
+    rows, b = -term.expo.A, term.expo.b
+    memo: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
+
+    def get(m):
+        got = memo.get(m)
+        if got is None:
+            j = next((j for j, k in enumerate(m) if k), None)
+            if j is None:
+                got = term.poly.to_packed(bits)
+            else:
+                keys, coeffs = get(m[:j] + (m[j] - 1,) + m[j + 1:])
+                if len(keys):
+                    keys, coeffs = packed_diff(keys, coeffs, j, bits, rows[j], b[j])
+                got = keys, coeffs
+            memo[m] = got
+        return got
+
+    if swap:
+        return lambda alpha, beta: get(beta + alpha)
+    return lambda alpha, beta: get(alpha + beta)
 
 
 def _compose_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm) -> QGTerm:
@@ -318,12 +345,21 @@ def _dampened(f: QGFunction, eps: float) -> QGFunction:
     return QGFunction(f.space, out, canonical=True)
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(points: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
                         halfwidth: float, points: int) -> complex:
     """Tensor Gauss-Legendre quadrature of the twisted-product integral."""
     space = f.space
     n, hbar = space.n_dof, space.hbar
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = gauss_legendre(points)
     nodes = nodes * halfwidth
     weights = weights * halfwidth
     axes = [nodes] * space.dim

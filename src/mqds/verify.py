@@ -30,7 +30,7 @@ from .models import (ModelId, WaveFunction, conjugation_by_V, dho_f, dho_g, eige
                      oscillator_wigner, oscillator_wigner_ladder, toy_resonant,
                      toy_resonant_ladder, wigner_pair_transform)
 from .poly import Poly
-from .star import (StarConfig, classical_flow_matrix, evolve, moyal_bracket,
+from .star import (StarConfig, classical_flow_matrix, evolve, gauss_legendre, moyal_bracket,
                    quadrature_star_oracle, star, star_exp_closed_taylor, star_exp_series)
 
 CHECK_REGISTRY = (
@@ -317,7 +317,7 @@ def _grid_pair_reference(f: QGFunction, test: QGFunction, points: int = 140) -> 
     origin, where the slowest Gaussian of the product has fallen to e^-80, so
     the box follows the product's own width at every hbar."""
     prod = f.mul(test)
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = gauss_legendre(points)
     axes, axis_weights = [], []
     for i in range(prod.space.dim):
         halfwidth = 12.7 / math.sqrt(min(t.expo.A[i, i].real for t in prod.terms))

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from mqds import VarSpace, oscillator_wigner
+from mqds import VarSpace, dho_f, oscillator_wigner
+from mqds.cli import main
 
 
 def run_cli(*args, timeout=300):
@@ -124,6 +125,34 @@ def test_eigenfunction_rows_are_x_major():
     for (x, p, re, im), (jre, jim) in zip(rows, values):
         want = W2.evaluate([x, p])
         assert abs(complex(re, im) - want) <= 1e-14 and complex(jre, jim) == complex(re, im)
+
+
+def old_csv(f, names, grids):
+    """The CSV as formatted one number at a time from a meshgrid point array."""
+    values = f.evaluate_grid(grids).ravel()
+    mesh = np.meshgrid(*grids, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    lines = [",".join(names) + ",re,im"]
+    for row, v in zip(pts, values):
+        lines.append(",".join([f"{c.real:.17g}" for c in row] + [f"{v.real:.17g}", f"{v.imag:.17g}"]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_eigenfunction_csv_bytes_match_per_row_formatting(tmp_path):
+    W12 = oscillator_wigner(12, VarSpace(1, 1.0))
+    F33 = dho_f(3, 3, "+", VarSpace(2, 1.0))
+    x, p = np.linspace(-3, 2.5, 23), np.linspace(-1.7, 4, 19)
+    cases = [
+        (["--model", "oscillator", "--family", "W", "--n", "12", "--grid", "x=-3:2.5:23,p=-1.7:4:19"],
+         W12, ["x", "p"], [x, p]),
+        (["--model", "damped_ho", "--family", "F", "--n", "3", "--m", "3", "--sign", "+",
+          "--grid", "x1=-3:2.5:23,p2=-1.7:4:19"],
+         F33, ["x1", "x2", "p1", "p2"], [x, np.array([0.0]), np.array([0.0]), p]),
+    ]
+    for argv, f, names, grids in cases:
+        out = tmp_path / "grid.csv"
+        assert main(["eigenfunction", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == old_csv(f, names, grids)
 
 
 def test_eigenfunction_degenerate_grid():

@@ -17,8 +17,8 @@ from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bra
 from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, moments_poly,
                             packed_moments)
 from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
-from mqds.poly import Poly, multi_indices
-from mqds.star import (EvolutionSingular, OracleNotConverged, StarConfig,
+from mqds.poly import Poly, multi_factorial, multi_indices
+from mqds.star import (EvolutionSingular, OracleNotConverged, StarConfig, _series_term_pair,
                        classical_flow_matrix, evolve, moyal_bracket,
                        quadrature_star_oracle, star, star_exp_closed,
                        star_exp_closed_taylor, star_exp_series)
@@ -102,6 +102,88 @@ def test_singular_composition_raises(space):
     # opposite pure phases at the resonant strength have no composed Gaussian
     with pytest.raises(GaussianCompositionSingular):
         star(toy_resonant(0, "+", space), toy_resonant(0, "-", space))
+
+
+# -- terminating series ------------------------------------------------------------
+
+def reference_series(f, g, bound):
+    """The bidifferential sum one (alpha, beta) at a time, from the function-level
+    derivative and pointwise product:  sum over |a| + |b| <= bound of
+    (i hbar/2)^{|a|+|b|} (-1)^{|b|} / (a! b!) (d_x^a d_p^b f)(d_p^a d_x^b g)."""
+    n, hbar = f.space.n_dof, f.space.hbar
+    out = QGFunction.zero(f.space)
+    for alpha in multi_indices(n, bound):
+        for beta in multi_indices(n, bound - sum(alpha)):
+            left, right = f, g
+            for k in range(n):
+                for _ in range(alpha[k]):
+                    left, right = left.differentiate(k), right.differentiate(n + k)
+                for _ in range(beta[k]):
+                    left, right = left.differentiate(n + k), right.differentiate(k)
+            coeff = (0.5j * hbar) ** (sum(alpha) + sum(beta)) * (-1.0) ** sum(beta)
+            coeff /= multi_factorial(alpha) * multi_factorial(beta)
+            out = out + left.mul(right).scaled(coeff)
+    return out
+
+
+def test_differentiate_is_d_plus_gradient_of_exponent(space, space2):
+    # (d_j + d_j q) P, with d_j P by exponent bookkeeping and (d_j q) P = Poly.mul
+    for sp, seed in ((space, 3), (space2, 5)):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            (t,) = (random_gaussian(sp, rng) if rng.random() < 0.7
+                    else random_polynomial(sp, rng)).terms
+            for j in range(sp.dim):
+                want = Poly(sp.dim)
+                for e, c in t.poly.terms.items():
+                    if e[j]:
+                        want = want + Poly.monomial(sp.dim, e[:j] + (e[j] - 1,) + e[j + 1:], e[j] * c)
+                want = want + t.poly.mul(Poly.linear(-t.expo.A[j], t.expo.b[j]))
+                got = t.diff(j)
+                assert got.expo is t.expo
+                assert (got.poly - want).max_abs_coeff() <= 1e-15 * max(1.0, want.max_abs_coeff())
+
+
+@pytest.mark.parametrize("n_dof", [1, 2])
+@pytest.mark.parametrize("kind", ["poly*gauss", "gauss*poly", "poly*poly"])
+def test_packed_series_matches_reference_sum(n_dof, kind):
+    space = VarSpace(n_dof, 0.7)
+    rng = np.random.default_rng(101 + 7 * n_dof + len(kind))
+    for _ in range(3):
+        poly = random_polynomial(space, rng, deg=2 if n_dof == 2 else 3)
+        other = random_polynomial(space, rng, deg=2) if kind == "poly*poly" else \
+            random_gaussian(space, rng) + random_gaussian(space, rng)
+        f, g = (other, poly) if kind == "gauss*poly" else (poly, other)
+        bound = max(t.poly.degree() for t in poly.terms)
+        got, want = star(f, g), reference_series(f, g, bound)
+        assert (got - want).coeff_norm() <= 1e-13 * want.coeff_norm()
+
+
+def test_series_gives_one_term_per_term_pair(space, space2):
+    rng = np.random.default_rng(13)
+    for sp in (space, space2):
+        (tp,), (tg,) = random_polynomial(sp, rng).terms, random_gaussian(sp, rng).terms
+        for t1, t2 in ((tp, tg), (tg, tp), (tp, tp)):
+            bound = min(t.poly.degree() for t in (t1, t2) if t.expo.is_zero())
+            (out,) = _series_term_pair(sp, t1, t2, bound)
+            assert out.expo.close_to(t1.mul(t2).expo)
+    # a * W0 = 0 cancels exactly, and gives no term at all
+    (ta,), (tw,) = ladder_a(space).terms, w0(space).terms
+    assert _series_term_pair(space, ta, tw, 1) == []
+
+
+def test_series_beyond_packing_width_raises():
+    space = VarSpace(4, 1.0)                   # 8 variables: 7 bits, degree <= 127
+    top = Poly.monomial(8, (64,) + (0,) * 7)
+    gauss = QuadExponent(np.eye(8), np.zeros(8))
+    poly = QGFunction.from_poly(space, top)
+    with pytest.raises(ValueError, match="packed"):
+        star(poly, QGFunction(space, [QGTerm(top, gauss)]))     # x^64 * x^64 e^q: degree 128
+    with pytest.raises(ValueError, match="packed"):
+        star(poly, poly)
+    with pytest.raises(ValueError, match="packed"):
+        QGTerm(Poly.monomial(8, (127,) + (0,) * 7), gauss).diff(0)
+    assert QGTerm(Poly.monomial(8, (126,) + (0,) * 7), gauss).diff(0).poly.degree() == 127
 
 
 # -- moyal bracket ----------------------------------------------------------------
