@@ -228,7 +228,9 @@ class QGFunction:
                     if k:
                         mono *= x.astype(complex) ** k
                 pv += mono
-            vals += pv * np.exp(q)
+            np.exp(q, out=q)
+            q *= pv
+            vals += q
         return vals
 
     def differentiate(self, var_index: int) -> "QGFunction":

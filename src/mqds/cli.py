@@ -170,6 +170,20 @@ def _builtin_function(model: ModelId, family: str, indices: Sequence[int], sign:
     return dho_f(indices[0], indices[1], sign, space)
 
 
+def _json_with_values(data: Dict, values: np.ndarray) -> str:
+    """json.dumps({**data, "values": [[re, im], ...]}, indent=2, sort_keys=True)
+    for a non-empty `values` and keys of `data` that sort before "values".
+
+    The indented encoder walks every pair in Python; here json's C encoder
+    writes the flat float list (the same float reprs, NaN and Infinity) and
+    the pairs are laid out by join.
+    """
+    head = json.dumps(data, indent=2, sort_keys=True)[:-2]       # drop "\n}"
+    floats = iter(json.dumps(values.view(float).tolist())[1:-1].split(", "))
+    body = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(floats, floats)))
+    return head + ',\n  "values": [\n    [\n      ' + body + "\n    ]\n  ]\n}"
+
+
 def cmd_eigenfunction(args) -> int:
     model = _model_from_args(args)
     space = VarSpace(model.n_dof, args.hbar)
@@ -190,9 +204,8 @@ def cmd_eigenfunction(args) -> int:
             "spec": {nm: {"min": float(a[0]), "max": float(a[-1]), "points": len(a)}
                      for nm, a in axes},
             "metadata": meta,
-            "values": [[v.real, v.imag] for v in values],
         }
-        _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_with_values(data, values) + "\n", args.out)
     else:
         # rows are x-major, as values are: the last axis varies fastest
         coords = itertools.product(*([_fmt(c) for c in g.tolist()] for g in grids))

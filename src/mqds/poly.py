@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -359,13 +359,16 @@ def merge(keys: np.ndarray, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return uniq[keep], out[keep]
 
 
-def multi_indices(dim: int, max_total: int) -> Iterator[Exponent]:
-    """All exponent tuples over `dim` variables with total degree <= max_total."""
+def multi_indices(dim: int, max_total: int,
+                  caps: Sequence[int] | None = None) -> Iterator[Exponent]:
+    """All exponent tuples over `dim` variables with total degree <= max_total,
+    and entry i <= caps[i] when caps are given, in lexicographic order."""
     if dim == 0:
         yield ()
         return
-    for head in range(max_total + 1):
-        for tail in multi_indices(dim - 1, max_total - head):
+    top = max_total if caps is None else min(max_total, caps[0])
+    for head in range(top + 1):
+        for tail in multi_indices(dim - 1, max_total - head, None if caps is None else caps[1:]):
             yield (head,) + tail
 
 

@@ -67,9 +67,10 @@ def _series_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm, bound: int) -> Li
     exponent q1 + q2, or none when the series vanishes.
 
     Each factor's derivatives are packed and memoized by multi-index; the
-    products of all (alpha, beta) go through one merge.  The factor without a
-    Gaussian goes first, since its derivatives vanish past its degree and the
-    other factor's derivative is then not needed.
+    products of all (alpha, beta) go through one merge.  A factor without a
+    Gaussian has no derivative past its degree in each variable, which caps
+    each direction of alpha and beta; it goes first, so that the other
+    factor's derivative is not needed where its own vanishes.
     """
     n, dim = space.n_dof, space.dim
     d1, d2 = t1.poly.degree(), t2.poly.degree()
@@ -84,11 +85,20 @@ def _series_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm, bound: int) -> Li
     right = _derivatives(t2, bits, swap=True)     # d_p^a d_x^b g
     first, second = (right, left) if g1 and not g2 else (left, right)
 
+    caps = [bound] * dim                          # over (alpha, beta)
+    for term, swap in ((t1, False), (t2, True)):
+        if not term.expo.is_zero():
+            continue
+        degs = [max(e[j] for e in term.poly.terms) for j in range(dim)]
+        if swap:
+            degs = degs[n:] + degs[:n]
+        caps = [min(c, d) for c, d in zip(caps, degs)]
+
     keys, coeffs = [], []
     pref_base = 0.5j * space.hbar
-    for alpha in multi_indices(n, bound):
+    for alpha in multi_indices(n, bound, caps[:n]):
         ra = sum(alpha)
-        for beta in multi_indices(n, bound - ra):
+        for beta in multi_indices(n, bound - ra, caps[n:]):
             if not len(first(alpha, beta)[0]) or not len(second(alpha, beta)[0]):
                 continue
             rb = sum(beta)
@@ -347,11 +357,70 @@ def _dampened(f: QGFunction, eps: float) -> QGFunction:
 
 @functools.lru_cache(maxsize=64)
 def gauss_legendre(points: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only.
+
+    Newton iteration on the three-term recurrence from Tricomi's estimates,
+    over the non-negative half of the nodes at once, O(points^2); the other
+    half is its mirror image, so nodes[-1 - i] == -nodes[i] exactly.
+    Weights are 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    n = points
+    if n < 1:
+        raise ValueError("Gauss-Legendre rule needs at least one point")
+    k = np.arange(1, (n + 1) // 2 + 1)                 # descending x_k >= 0
+    x = np.cos(math.pi * (4 * k - 1) / (4 * n + 2)) * (1.0 - (n - 1) / (8.0 * n ** 3))
+    if n % 2:
+        x[-1] = 0.0                                     # P_n(0) = 0 exactly for odd n
+
+    def slope(x):
+        """P_n(x) and P_n'(x) by the recurrence (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}."""
+        lower, value = np.ones_like(x), x.copy()
+        for j in range(1, n):
+            lower, value = value, ((2 * j + 1) / (j + 1)) * x * value - (j / (j + 1)) * lower
+        return value, n * (lower - x * value) / ((1.0 - x) * (1.0 + x))
+
+    for _ in range(100):
+        value, deriv = slope(x)
+        step = value / deriv
+        x = x - step
+        if np.abs(step).max() < 1e-14:
+            break
+    _, deriv = slope(x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * deriv * deriv)
+    half = n // 2
+    nodes = np.concatenate([-x, x[:half][::-1]])
+    weights = np.concatenate([w, w[:half][::-1]])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def _twisted_kernel(arr: np.ndarray, nodes: np.ndarray, k: float, s: float, t: float) -> np.ndarray:
+    """out[c, b] = sum_a exp(ik (n_a - s)(n_c - t)) arr[a, b] on symmetric nodes.
+
+    The kernel factors as exp(ik st) exp(-ik t n_a) E[a, c] exp(-ik s n_c) with
+    E = exp(ik n_a n_c): the first phase goes into the summed axis, the last
+    into the output axis.  Rows a and P-1-a (nodes n and -n) fold into
+    A+- = A_a +- A_{P-1-a}, so that two real products cos(k m m') @ A+ and
+    sin(k m m') @ A- over the half m of the nodes give output rows c and P-1-c
+    as ce +- i so: a quarter of the flops of the complex product.
+    """
+    P = len(nodes)
+    if P % 2:
+        raise ValueError("the folded quadrature kernel needs an even point count")
+    h = P // 2
+    a = np.multiply(arr, np.exp(-1j * k * t * nodes)[:, None], order="C")
+    plus, minus = a[:h] + a[::-1][:h], a[:h] - a[::-1][:h]
+    del a                                   # a full-size array, not needed past the fold
+    arg = k * np.outer(nodes[:h], nodes[:h])
+    ce = (np.cos(arg) @ plus.view(float)).view(complex)
+    so = (np.sin(arg) @ minus.view(float)).view(complex)
+    so *= 1j
+    out = np.empty((P, arr.shape[1]), dtype=complex)
+    np.add(ce, so, out=out[:h])
+    np.subtract(ce, so, out=out[::-1][:h])
+    out *= np.exp(1j * k * s * (t - nodes))[:, None]
+    return out
 
 
 def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
@@ -364,24 +433,23 @@ def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
     weights = weights * halfwidth
     axes = [nodes] * space.dim
 
-    F = f.evaluate_grid(axes)
-    G = g.evaluate_grid(axes)
-    wslice = [weights] * space.dim
-    for arr, ws in ((F, wslice), (G, wslice)):
-        for ax, w in enumerate(ws):
+    def weighted(fn):
+        arr = fn.evaluate_grid(axes)
+        for ax in range(space.dim):
             shape = [1] * space.dim
-            shape[ax] = len(w)
-            arr *= w.reshape(shape)
+            shape[ax] = points
+            arr *= weights.reshape(shape)
+        return arr
 
     k = 2.0 / hbar
     if n == 1:
+        # kernel exp[ik ((x1 - x)(p2 - p) - (p1 - p)(x2 - x))]: contract F
+        # over x1 into (p2, p1), then over p1 into (x2, p2), before G exists
         x, p = z
-        U = np.exp(1j * k * np.outer(nodes - x, nodes - p))      # (x1, p2)
-        V = np.exp(-1j * k * np.outer(nodes - p, nodes - x))     # (p1, x2)
-        S = F.T @ U                                              # (p1, p2)
-        T = V.T @ S                                              # (x2, p2)
-        val = np.sum(T * G)
+        T = _twisted_kernel(_twisted_kernel(weighted(f), nodes, k, x, p).T, nodes, -k, p, x)
+        val = np.sum(T * weighted(g))
     else:
+        F, G = weighted(f), weighted(g)
         xs, ps = z[:n], z[n:]
         Us = [np.exp(1j * k * np.outer(nodes - xs[kk], nodes - ps[kk])) for kk in range(n)]
         Vs = [np.exp(-1j * k * np.outer(nodes - ps[kk], nodes - xs[kk])) for kk in range(n)]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mqds import VarSpace, dho_f, oscillator_wigner
-from mqds.cli import main
+from mqds.cli import _json_with_values, main
 
 
 def run_cli(*args, timeout=300):
@@ -153,6 +153,37 @@ def test_eigenfunction_csv_bytes_match_per_row_formatting(tmp_path):
         out = tmp_path / "grid.csv"
         assert main(["eigenfunction", *argv, "--out", str(out)]) == 0
         assert out.read_bytes() == old_csv(f, names, grids)
+
+
+def test_eigenfunction_json_bytes_match_indented_dumps(tmp_path):
+    # spec and metadata come from the output; the value block and layout are
+    # pinned to json.dumps(indent=2, sort_keys=True) over [[re, im], ...]
+    W12 = oscillator_wigner(12, VarSpace(1, 1.0))
+    F33 = dho_f(3, 3, "+", VarSpace(2, 1.0))
+    x, p = np.linspace(-3, 2.5, 23), np.linspace(-1.7, 4, 19)
+    cases = [
+        (["--model", "oscillator", "--family", "W", "--n", "12", "--grid", "x=-3:2.5:23,p=-1.7:4:19"],
+         W12, [x, p]),
+        (["--model", "damped_ho", "--family", "F", "--n", "3", "--m", "3", "--sign", "+",
+          "--grid", "x1=-3:2.5:23,p2=-1.7:4:19"],
+         F33, [x, np.array([0.0]), np.array([0.0]), p]),
+    ]
+    for argv, f, grids in cases:
+        out = tmp_path / "grid.json"
+        assert main(["eigenfunction", *argv, "--format", "json", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["values"] = [[v.real, v.imag] for v in f.evaluate_grid(grids).ravel()]
+        assert out.read_bytes() == (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_json_values_writer_keeps_non_finite_spelling():
+    values = np.array([1.5 - 0.0j, complex(math.nan, math.inf), complex(-math.inf, 1e-300),
+                       complex(-0.0, 2.0 ** 70)])
+    data = {"metadata": {"hbar": 1.0}, "spec": {"x": {"points": 4}}}
+    want = json.dumps({**data, "values": [[v.real, v.imag] for v in values]}, indent=2, sort_keys=True)
+    got = _json_with_values(data, values)
+    assert got == want
+    assert "NaN" in got and "-Infinity" in got
 
 
 def test_eigenfunction_degenerate_grid():

@@ -7,6 +7,7 @@ e^{(b1+b2).z}  (a direct consequence of the bidifferential series), and the
 twisted-integral quadrature oracle.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, mom
                             packed_moments)
 from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
 from mqds.poly import Poly, multi_factorial, multi_indices
-from mqds.star import (EvolutionSingular, OracleNotConverged, StarConfig, _series_term_pair,
-                       classical_flow_matrix, evolve, moyal_bracket,
+from mqds.star import (EvolutionSingular, OracleNotConverged, StarConfig, _dampened,
+                       _series_term_pair, _twisted_kernel, _twisted_quadrature,
+                       classical_flow_matrix, evolve, gauss_legendre, moyal_bracket,
                        quadrature_star_oracle, star, star_exp_closed,
                        star_exp_closed_taylor, star_exp_series)
 
@@ -144,19 +146,61 @@ def test_differentiate_is_d_plus_gradient_of_exponent(space, space2):
                 assert (got.poly - want).max_abs_coeff() <= 1e-15 * max(1.0, want.max_abs_coeff())
 
 
-@pytest.mark.parametrize("n_dof", [1, 2])
+@pytest.mark.parametrize("n_dof", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["poly*gauss", "gauss*poly", "poly*poly"])
 def test_packed_series_matches_reference_sum(n_dof, kind):
     space = VarSpace(n_dof, 0.7)
     rng = np.random.default_rng(101 + 7 * n_dof + len(kind))
-    for _ in range(3):
-        poly = random_polynomial(space, rng, deg=2 if n_dof == 2 else 3)
+    for _ in range(3 if n_dof < 3 else 1):      # the reference sum is slow at N = 3
+        poly = random_polynomial(space, rng, deg=4 - n_dof)
         other = random_polynomial(space, rng, deg=2) if kind == "poly*poly" else \
             random_gaussian(space, rng) + random_gaussian(space, rng)
         f, g = (other, poly) if kind == "gauss*poly" else (poly, other)
         bound = max(t.poly.degree() for t in poly.terms)
         got, want = star(f, g), reference_series(f, g, bound)
         assert (got - want).coeff_norm() <= 1e-13 * want.coeff_norm()
+
+
+@pytest.mark.parametrize("n_dof", [1, 2, 3])
+def test_series_of_one_variable_power_factorizes(n_dof):
+    # x1^20 * e^{-|z|^2/2} is the N = 1 product times the other variables'
+    # Gaussian; the N = 1 product is checked against the reference sum
+    hbar = 0.7
+    one = VarSpace(1, hbar)
+    x20 = QGFunction.from_poly(one, Poly.monomial(2, (20, 0)))
+    g1 = QGFunction.from_exponent(one, np.eye(2))
+    want1 = reference_series(x20, g1, 20)
+    got1 = star(x20, g1)
+    assert (got1 - want1).coeff_norm() <= 1e-13 * want1.coeff_norm()
+
+    space = VarSpace(n_dof, hbar)
+    x = [0] * space.dim
+    x[0] = 20
+    f = QGFunction.from_poly(space, Poly.monomial(space.dim, tuple(x)))
+    got = star(f, QGFunction.from_exponent(space, np.eye(space.dim)))
+    rng = np.random.default_rng(17)
+    for z in rng.uniform(-2.0, 2.0, size=(5, space.dim)):
+        rest = np.delete(z, [0, n_dof])
+        want = got1.evaluate([z[0], z[n_dof]]) * np.exp(-0.5 * rest @ rest)
+        assert abs(got.evaluate(z) - want) <= 1e-12 * abs(want)
+
+
+def test_series_caps_drop_only_empty_visits(monkeypatch):
+    # the per-direction caps skip only empty visits: the uncapped loop over
+    # every (alpha, beta) up to the bound gives the same terms bit for bit
+    space = VarSpace(2, 0.7)
+    rng = np.random.default_rng(19)
+    pairs = []
+    for _ in range(4):
+        poly = random_polynomial(space, rng, deg=2)
+        pairs += [(poly, random_gaussian(space, rng)), (random_gaussian(space, rng), poly),
+                  (poly, random_polynomial(space, rng, deg=2))]
+    capped = [star(f, g) for f, g in pairs]
+    star_module = importlib.import_module("mqds.star")      # mqds.star is also the function
+    monkeypatch.setattr(star_module, "multi_indices", lambda n, top, caps: multi_indices(n, top))
+    for (f, g), got in zip(pairs, capped):
+        want = star(f, g)
+        assert [t.poly.terms for t in got.terms] == [t.poly.terms for t in want.terms]
 
 
 def test_series_gives_one_term_per_term_pair(space, space2):
@@ -420,6 +464,63 @@ def test_oracle_box_holds_slow_tails(space):
     capped = quadrature_star_oracle(f, g, z, StarConfig(oracle_grid_halfwidth=8.0))
     assert abs(capped - closed) > 1e-6 * abs(closed)
     assert abs(quadrature_star_oracle(f, g, z) - closed) <= 1e-9 * abs(closed)
+
+
+def test_gauss_legendre_rule():
+    for n in list(range(1, 201)) + [350, 1000, 3400]:
+        nodes, weights = gauss_legendre(n)
+        ref_nodes, _ = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes[::-1], -nodes), n
+        assert np.abs(nodes - ref_nodes).max() <= 2e-16, n
+        assert abs(weights.sum() - 2.0) <= 1e-14, n
+        for j in range(min(n, 20)):         # exact to degree 2n - 1
+            assert abs(weights @ nodes ** (2 * j) - 2.0 / (2 * j + 1)) <= 1e-13, (n, j)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def two_gemm_quadrature(f, g, z, halfwidth, points):
+    """The N = 1 twisted quadrature as two complex products with the full
+    kernels U[x1, p2] = e^{ik(x1-x)(p2-p)} and V[p1, x2] = e^{-ik(p1-p)(x2-x)}."""
+    hbar = f.space.hbar
+    nodes, weights = gauss_legendre(points)
+    nodes, weights = nodes * halfwidth, weights * halfwidth
+    w2 = np.outer(weights, weights)
+    F = f.evaluate_grid([nodes, nodes]) * w2
+    G = g.evaluate_grid([nodes, nodes]) * w2
+    k, (x, p) = 2.0 / hbar, z
+    U = np.exp(1j * k * np.outer(nodes - x, nodes - p))
+    V = np.exp(-1j * k * np.outer(nodes - p, nodes - x))
+    return complex(np.sum((V.T @ (F.T @ U)) * G) / (math.pi * hbar) ** 2)
+
+
+@pytest.mark.parametrize("points", [48, 252, 1000])
+def test_folded_kernel_matches_two_gemm_formula(points):
+    # pairs that are not symmetric under x <-> p: x*p or F0+*F0+ would not
+    # notice the two phases of the folded kernel exchanged
+    space = VarSpace(1, 0.8)
+    x = QGFunction.coordinate(space, 0)
+    A = np.array([[1.3, 0.4 + 0.7j], [0.4 + 0.7j, 0.8 - 0.2j]])
+    gauss = QGFunction(space, [QGTerm(Poly(2, {(1, 0): 1.0, (0, 2): 0.5j}),
+                                      QuadExponent(A, np.array([0.2, -0.3j])))])
+    F0, F1 = toy_resonant(0, "+", space), toy_resonant(1, "+", space)
+    z = np.array([0.3, -0.2])
+    for f, g in ((x, x), (F0, F1), (gauss, F0)):
+        f, g = _dampened(f, 0.1), _dampened(g, 0.1)
+        got, want = _twisted_quadrature(f, g, z, 8.0, points), two_gemm_quadrature(f, g, z, 8.0, points)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_oracle_x_star_x(space):
+    x = QGFunction.coordinate(space, 0)
+    assert quadrature_star_oracle(x, x, [0.3, -0.2]) == pytest.approx(0.09, abs=2e-6)
+
+
+def test_folded_kernel_odd_point_count_raises(space):
+    W0 = w0(space)
+    with pytest.raises(ValueError, match="even"):
+        _twisted_quadrature(W0, W0, np.zeros(2), 8.0, 49)
+    with pytest.raises(ValueError, match="even"):
+        _twisted_kernel(np.ones((5, 3), dtype=complex), gauss_legendre(5)[0], 1.0, 0.0, 0.0)
 
 
 def test_oracle_non_integrable_raises(space2):
