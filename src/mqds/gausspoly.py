@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .poly import Exponent, Poly, check_packed_degree, merge, packed_bits, unpack
+from .poly import Exponent, Poly, check_packed_degree, merge, pack, packed_bits, unpack
 
 _EIG_TOL = 1e-12
 
@@ -79,7 +79,13 @@ def _check_fresnel_spectrum(A: np.ndarray, scale: float) -> np.ndarray:
 
 
 def moments_scalar(Sigma: np.ndarray, mu: np.ndarray, needed: Sequence[Exponent]) -> Dict[Exponent, complex]:
-    """Moment table E[z^alpha] for a (complex) Gaussian with mean mu, cov Sigma."""
+    """Moment table E[z^alpha] for a (complex) Gaussian with mean mu, cov Sigma.
+
+    The recursion of `moments_poly` with no variables kept, on Python
+    scalars: the one integral of `integrate_poly_exp` needs short tables, on
+    which numpy's per-call overhead would make the packed recursion several
+    times slower.
+    """
     dim = len(mu)
     memo: Dict[Exponent, complex] = {(0,) * dim: 1.0 + 0j}
 
@@ -103,47 +109,19 @@ def moments_scalar(Sigma: np.ndarray, mu: np.ndarray, needed: Sequence[Exponent]
     return {a: get(tuple(a)) for a in needed}
 
 
-def moments_poly(Sigma: np.ndarray, mu_polys: List[Poly], needed: Sequence[Exponent]) -> Dict[Exponent, Poly]:
-    """Moment recursion where the mean components are Poly-valued.
-
-    Used when a Gaussian block is integrated out and the completed-square
-    mean is an affine function of the remaining variables.
-    """
-    dim = Sigma.shape[0]
-    out_dim = mu_polys[0].dim if mu_polys else 0
-    memo: Dict[Exponent, Poly] = {(0,) * dim: Poly.const(out_dim, 1.0)}
-
-    def get(alpha: Exponent) -> Poly:
-        got = memo.get(alpha)
-        if got is not None:
-            return got
-        i = max(k for k in range(dim) if alpha[k] > 0)
-        beta = list(alpha)
-        beta[i] -= 1
-        beta_t = tuple(beta)
-        val = mu_polys[i].mul(get(beta_t))
-        for j in range(dim):
-            if beta_t[j]:
-                gamma = list(beta_t)
-                gamma[j] -= 1
-                val.add_scaled(get(tuple(gamma)), Sigma[i, j] * beta_t[j])
-        memo[alpha] = val
-        return val
-
-    return {a: get(tuple(a)) for a in needed}
-
-
 Packed = Tuple[np.ndarray, np.ndarray]      # (int64 keys, complex coeffs); see poly
 
 
-def packed_moments(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: int,
-                   needed: Iterable[Exponent], memo: Dict[Exponent, Packed]) -> Dict[Exponent, Packed]:
-    """moments_poly on packed polynomials.
+def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: int,
+                 needed: Iterable[Exponent], memo: Dict[Exponent, Packed]) -> Dict[Exponent, Packed]:
+    """Moment tables E[z^alpha] whose mean is affine in other variables w.
 
-    Mean component i is the affine form lin[i] . w + shift[i] over the
-    lin.shape[1] variables w; tables are packed with `bits` per variable,
-    and the caller keeps every exponent below 2**bits.  `memo` may be shared
-    across calls with identical (Sigma, lin, shift).
+    Mean component i is lin[i] . w + shift[i] over the lin.shape[1]
+    variables w, as when a Gaussian block is integrated out and the
+    completed-square mean depends on the variables kept.  Tables are packed
+    polynomials in w with `bits` per variable, and the caller keeps every
+    exponent below 2**bits.  `memo` may be shared across calls with
+    identical (Sigma, lin, shift).
     """
     dim = Sigma.shape[0]
     units = np.left_shift(1, bits * np.arange(lin.shape[1], dtype=np.int64))
@@ -218,26 +196,20 @@ def integrate_partial(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
     c_new = c + 0.5 * b_s @ (M_inv @ b_s)
     pref = (2.0 * math.pi) ** (len(out_idx) / 2.0) / _branch_sqrt_det(eigs)
 
-    # mean of the integrated block is affine in the kept variables
     nk = len(keep_idx)
-    lin = -M_inv @ A_sk                      # (len(out), nk)
-    aff = M_inv @ b_s
-    mu_polys = [Poly.linear(lin[i, :], aff[i]) for i in range(len(out_idx))]
-
-    # split each monomial into kept / integrated-out parts
-    grouped: Dict[Exponent, Poly] = {}
-    for e, coef in poly.terms.items():
-        e_keep = tuple(e[i] for i in keep_idx)
-        e_out = tuple(e[i] for i in out_idx)
-        g = grouped.get(e_out)
-        if g is None:
-            grouped[e_out] = Poly(nk, {e_keep: coef})
-        else:
-            g.add_scaled(Poly(nk, {e_keep: coef}), 1.0)
-    mom = moments_poly(np.asarray(M_inv), mu_polys, list(grouped.keys()))
-    new_poly = Poly(nk)
-    for e_out, pk in grouped.items():
-        new_poly = new_poly + pk.mul(mom[e_out])
+    if poly.is_zero():
+        return A_new, b_new, complex(c_new), Poly(nk)
+    # each monomial is its kept part times the moment of its integrated-out
+    # part, whose mean is affine in the kept variables
+    bits = packed_bits(max(nk, 1))
+    check_packed_degree(poly.degree(), bits, nk)
+    exps = np.array(list(poly.terms), dtype=np.int64)
+    outs = list(map(tuple, exps[:, out_idx].tolist()))
+    mom = moments_poly(M_inv, -M_inv @ A_sk, M_inv @ b_s, bits, outs, {})
+    sizes = [len(mom[e][0]) for e in outs]
+    keys = np.repeat(pack(exps[:, keep_idx], bits), sizes) + np.concatenate([mom[e][0] for e in outs])
+    coeffs = np.repeat(list(poly.terms.values()), sizes) * np.concatenate([mom[e][1] for e in outs])
+    new_poly = Poly.from_packed(nk, bits, *merge(keys, coeffs))
     return A_new, b_new, complex(c_new), new_poly.scaled(pref)
 
 
@@ -312,7 +284,7 @@ class CompositionContext:
         if P1.is_zero() or P2.is_zero():
             return Poly(d)
         check_packed_degree(P1.degree() + P2.degree(), bits, 2 * d)
-        mv = packed_moments(self.G_vv, *self._v_form, bits, P2.terms, self._mv_memo)
+        mv = moments_poly(self.G_vv, *self._v_form, bits, P2.terms, self._mv_memo)
         keys, coeffs = merge(np.concatenate([mv[delta][0] for delta in P2.terms]),
                              np.concatenate([c2 * mv[delta][1] for delta, c2 in P2.terms.items()]))
         # keys are sorted, and u sits in the high fields: each kappa is one run
@@ -335,7 +307,7 @@ class CompositionContext:
             if terms:
                 groups.append((lo, hi, terms))
         needed = {e for _, _, terms in groups for e, _ in terms}
-        mu = packed_moments(self.G_uu, *self._u_form, bits, needed, self._mu_memo)
+        mu = moments_poly(self.G_uu, *self._u_form, bits, needed, self._mu_memo)
 
         out_keys, out_coeffs = [], []
         for lo, hi, terms in groups:

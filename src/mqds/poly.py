@@ -3,11 +3,11 @@
 Exponent tuples index complex coefficients; the empty map is the zero
 polynomial.  Serialization order is graded lexicographic.
 
-Large products run on packed exponents: a monomial's exponent tuple packs
+The hot kernels run on packed exponents: a monomial's exponent tuple packs
 into one int64 key, variable i in bits [bits*i, bits*(i+1)), so that adding
 keys multiplies monomials as long as no exponent reaches 2**bits.  The
-Gaussian composition keeps its moment tables in this form, and the
-bidifferential series and derivatives run on it (`packed_diff`).
+moment recursion keeps its tables in this form, and the bidifferential
+series and derivatives run on it (`packed_diff`).
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ from typing import Dict, Iterator, Mapping, Sequence, Tuple
 import numpy as np
 
 Exponent = Tuple[int, ...]
-
-# Poly.mul takes the packed kernel from this many term pairs on.  Measured on
-# dense products over 2 and 4 variables, the kernel breaks even with the dict
-# loop at 100-200 pairs; with a one-term factor, only near 1000 pairs.
-PACKED_MUL_MIN_PAIRS = 256
 
 
 class Poly:
@@ -123,11 +118,15 @@ class Poly:
         return p
 
     def mul(self, other: "Poly") -> "Poly":
-        if len(self.terms) * len(other.terms) >= PACKED_MUL_MIN_PAIRS:
-            out = _mul_packed(self, other)
-            if out is not None:
-                return out
-        return _mul_loop(self, other)
+        """Product by the double loop; terms in order of first appearance."""
+        out: Dict[Exponent, complex] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = out.get(e, 0j) + c1 * c2
+        r = Poly(self.dim)
+        r.terms = {e: c for e, c in out.items() if c != 0}
+        return r
 
     def add_scaled(self, other: "Poly", c: complex) -> None:
         """In-place self += c*other (used in hot recursions)."""
@@ -239,52 +238,6 @@ class Poly:
         bits = [f"{c:.6g}*z^{e}" for e, c in itertools.islice(self.canonical_items(), 8)]
         more = "" if len(self.terms) <= 8 else f" +{len(self.terms) - 8} terms"
         return "Poly(" + " + ".join(bits) + more + ")"
-
-
-def _mul_loop(p: Poly, q: Poly) -> Poly:
-    """Product by the double loop; terms in order of first appearance."""
-    out: Dict[Exponent, complex] = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(map(operator.add, e1, e2))
-            out[e] = out.get(e, 0j) + c1 * c2
-    r = Poly(p.dim)
-    r.terms = {e: c for e, c in out.items() if c != 0}
-    return r
-
-
-def _mul_packed(p: Poly, q: Poly) -> Poly | None:
-    """The product of _mul_loop, bit for bit and in the same term order, from
-    numpy arrays; None when an exponent of the product would not fit.
-
-    Term pairs are formed in the loop's order with its float64 operations
-    (re = ac - bd, im = ad + bc), and np.bincount adds each key's products
-    sequentially in that order, as the loop's dict does.
-    """
-    bits = packed_bits(p.dim)
-    if bits == 0:
-        return None
-    if not p.terms or not q.terms:
-        return Poly(p.dim)
-    try:
-        k1, c1 = p.to_packed(bits)
-        k2, c2 = q.to_packed(bits)
-    except ValueError:
-        return None
-    tops = (unpack(k, p.dim, bits).max(axis=0).tolist() for k in (k1, k2))
-    if max(map(operator.add, *tops)) >= 1 << bits:
-        return None
-    keys = (k1[:, None] + k2[None, :]).ravel()
-    a, b = c1.real[:, None], c1.imag[:, None]
-    c, d = c2.real[None, :], c2.imag[None, :]
-    uniq, first, inv = _unique(keys)
-    re = np.bincount(inv, (a * c - b * d).ravel(), len(uniq))
-    im = np.bincount(inv, (a * d + b * c).ravel(), len(uniq))
-    order = np.argsort(first)
-    order = order[(re[order] != 0) | (im[order] != 0)]
-    coeffs = np.empty(len(order), dtype=complex)
-    coeffs.real, coeffs.imag = re[order], im[order]
-    return Poly.from_packed(p.dim, bits, uniq[order], coeffs)
 
 
 def packed_bits(dim: int) -> int:

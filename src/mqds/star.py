@@ -441,21 +441,17 @@ def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
             arr *= weights.reshape(shape)
         return arr
 
+    # kernel prod_j exp[ik ((x1_j - x_j)(p2_j - p_j) - (p1_j - p_j)(x2_j - x_j))]:
+    # contract F over each x1_j into p2_j and each p1_j into x2_j, axis by axis,
+    # before G exists
     k = 2.0 / hbar
-    if n == 1:
-        # kernel exp[ik ((x1 - x)(p2 - p) - (p1 - p)(x2 - x))]: contract F
-        # over x1 into (p2, p1), then over p1 into (x2, p2), before G exists
-        x, p = z
-        T = _twisted_kernel(_twisted_kernel(weighted(f), nodes, k, x, p).T, nodes, -k, p, x)
-        val = np.sum(T * weighted(g))
-    else:
-        F, G = weighted(f), weighted(g)
-        xs, ps = z[:n], z[n:]
-        Us = [np.exp(1j * k * np.outer(nodes - xs[kk], nodes - ps[kk])) for kk in range(n)]
-        Vs = [np.exp(-1j * k * np.outer(nodes - ps[kk], nodes - xs[kk])) for kk in range(n)]
-        # contract f over z1 axes (x11,x12,p11,p12) against the product kernel
-        T = np.einsum("abcd,ae,bf,cg,dh->ghef", F, Us[0], Us[1], Vs[0], Vs[1], optimize=True)
-        val = np.sum(T * G)
+    T = weighted(f)
+    for ax in range(space.dim):
+        sign, partner = (1.0, ax + n) if ax < n else (-1.0, ax - n)
+        T = np.moveaxis(_twisted_kernel(np.moveaxis(T, ax, 0).reshape(points, -1), nodes,
+                                        sign * k, z[ax], z[partner]).reshape(T.shape), 0, ax)
+    # T's axes are (p2, x2): G's two halves swapped
+    val = np.sum(T * weighted(g).transpose([*range(n, 2 * n), *range(n)]))
     return complex(val / (math.pi * hbar) ** (2 * n))
 
 

@@ -15,8 +15,8 @@ import pytest
 
 from conftest import random_gaussian, random_polynomial, w0
 from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
-from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, moments_poly,
-                            packed_moments)
+from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, integrate_partial,
+                            integrate_poly_exp, moments_poly, moments_scalar)
 from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
 from mqds.poly import Poly, multi_factorial, multi_indices
 from mqds.star import (EvolutionSingular, OracleNotConverged, StarConfig, _dampened,
@@ -79,17 +79,45 @@ def test_plane_wave_composition_law(space):
 
 
 def test_packed_memos_match_moments_poly(space2):
+    # at a fixed w the mean lin @ w + shift is a number, and the table's
+    # polynomial evaluated at w is the scalar moment
     rng = np.random.default_rng(29)
     (t1,), (t2,) = random_gaussian(space2, rng).terms, random_gaussian(space2, rng).terms
     ctx = CompositionContext(2, 1.0, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
     needed = list(multi_indices(4, 4))
     for Sigma, (lin, shift) in ((ctx.G_uu, ctx._u_form), (ctx.G_vv, ctx._v_form)):
-        packed = packed_moments(Sigma, lin, shift, ctx.bits, needed, {})
-        forms = [Poly.linear(lin[i], shift[i]) for i in range(len(shift))]
-        dicts = moments_poly(Sigma, forms, needed)
-        for alpha in needed:
-            got = Poly.from_packed(lin.shape[1], ctx.bits, *packed[alpha])
-            assert (got - dicts[alpha]).max_abs_coeff() <= 1e-13 * dicts[alpha].max_abs_coeff()
+        packed = moments_poly(Sigma, lin, shift, ctx.bits, needed, {})
+        for _ in range(3):
+            w = rng.normal(size=lin.shape[1]) + 1j * rng.normal(size=lin.shape[1])
+            want = moments_scalar(Sigma, lin @ w + shift, needed)
+            for alpha in needed:
+                got = Poly.from_packed(lin.shape[1], ctx.bits, *packed[alpha]).eval(w)
+                assert abs(got - want[alpha]) <= 1e-12 * max(abs(want[alpha]), 1.0), alpha
+
+
+@pytest.mark.parametrize("n_dof, out_idx", [(1, [0]), (1, [1]), (2, [1]), (2, [3]), (2, [0, 1])],
+                         ids=["N1-x", "N1-p", "N2-x2", "N2-p2", "N2-xblock"])
+def test_partial_integral_then_rest_is_whole_integral(n_dof, out_idx):
+    # Fubini: integrating out out_idx first, then the rest, gives the whole integral
+    rng = np.random.default_rng(31 + 7 * n_dof + sum(out_idx))
+    (term,) = random_gaussian(VarSpace(n_dof, 1.0), rng).terms
+    d = 2 * n_dof
+    poly = Poly(d, {tuple(rng.integers(0, 4, size=d)): complex(*rng.normal(size=2)) for _ in range(6)})
+    A, b, c = term.expo.A, term.expo.b, 0.2 - 0.1j
+    want = integrate_poly_exp(A, b, c, poly)
+    A2, b2, c2, poly2 = integrate_partial(A, b, c, poly, out_idx)
+    assert poly2.dim == d - len(out_idx)
+    got = integrate_poly_exp(A2, b2, c2, poly2)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_partial_integral_beyond_packing_width_raises():
+    # 8 kept variables pack 7 bits each: degree 128 does not fit
+    A = np.eye(9)
+    with pytest.raises(ValueError, match="packed"):
+        integrate_partial(A, np.zeros(9), 0.0, Poly(9, {(0,) * 8 + (128,): 1.0}), [8])
+    with pytest.raises(ValueError, match="packed"):
+        integrate_partial(A, np.zeros(9), 0.0, Poly(9, {(127,) + (0,) * 7 + (1,): 1.0}), [8])
 
 
 def test_composition_beyond_packing_width_raises(space2):
@@ -508,6 +536,57 @@ def test_folded_kernel_matches_two_gemm_formula(points):
         f, g = _dampened(f, 0.1), _dampened(g, 0.1)
         got, want = _twisted_quadrature(f, g, z, 8.0, points), two_gemm_quadrature(f, g, z, 8.0, points)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def nested_kernel_quadrature(f, g, z, halfwidth, points):
+    """The N = 1 twisted quadrature as two nested folded-kernel calls, F's
+    output transposed in between, against G's (x2, p2) grid."""
+    hbar = f.space.hbar
+    nodes, weights = gauss_legendre(points)
+    nodes, weights = nodes * halfwidth, weights * halfwidth
+    F = f.evaluate_grid([nodes, nodes]) * weights[:, None] * weights
+    G = g.evaluate_grid([nodes, nodes]) * weights[:, None] * weights
+    k, (x, p) = 2.0 / hbar, z
+    T = _twisted_kernel(_twisted_kernel(F, nodes, k, x, p).T, nodes, -k, p, x)
+    return complex(np.sum(T * G) / (math.pi * hbar) ** 2)
+
+
+def test_axis_loop_keeps_the_top_ladder_rung_exact():
+    # the hbar = 0.5 eps-ladder's last rung, P = 1686: the axis loop gives the
+    # nested N = 1 calls' value bit for bit
+    space = VarSpace(1, 0.5)
+    x = _dampened(QGFunction.coordinate(space, 0), 0.045)
+    L = math.sqrt(25.0 / 0.045)
+    z = np.array([0.3, -0.2])
+    assert _twisted_quadrature(x, x, z, L, 1686) == nested_kernel_quadrature(x, x, z, L, 1686)
+
+
+def einsum_quadrature(f, g, z, halfwidth, points):
+    """The N = 2 twisted quadrature as one einsum over the four full kernels
+    U_j[x1_j, p2_j] = e^{ik(x1_j-x_j)(p2_j-p_j)} and V_j[p1_j, x2_j] = e^{-ik(p1_j-p_j)(x2_j-x_j)}."""
+    hbar = f.space.hbar
+    nodes, weights = gauss_legendre(points)
+    nodes, weights = nodes * halfwidth, weights * halfwidth
+    w4 = np.einsum("a,b,c,d->abcd", weights, weights, weights, weights)
+    F = f.evaluate_grid([nodes] * 4) * w4
+    G = g.evaluate_grid([nodes] * 4) * w4
+    k, xs, ps = 2.0 / hbar, z[:2], z[2:]
+    Us = [np.exp(1j * k * np.outer(nodes - xs[j], nodes - ps[j])) for j in range(2)]
+    Vs = [np.exp(-1j * k * np.outer(nodes - ps[j], nodes - xs[j])) for j in range(2)]
+    T = np.einsum("abcd,ae,bf,cg,dh->ghef", F, Us[0], Us[1], Vs[0], Vs[1], optimize=True)
+    return complex(np.sum(T * G) / (math.pi * hbar) ** 4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("points", [44, 52])
+def test_axis_loop_matches_einsum_at_two_dof(points):
+    # a generic N = 2 pair: no symmetry under x <-> p or between the two dof
+    space2 = VarSpace(2, 0.9)
+    rng = np.random.default_rng(59)
+    f, g = random_gaussian(space2, rng), random_gaussian(space2, rng)
+    z = np.array([0.3, -0.2, 0.1, 0.25])
+    got, want = _twisted_quadrature(f, g, z, 6.0, points), einsum_quadrature(f, g, z, 6.0, points)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_oracle_x_star_x(space):
