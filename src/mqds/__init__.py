@@ -14,8 +14,8 @@ from .models import (LadderSet, ModelId, SpectrumEntry, UnsupportedPair, WaveFun
                      oscillator_wigner, oscillator_wigner_ladder, spectrum, toy_resonant,
                      toy_resonant_ladder, wigner_pair_transform)
 from .poly import Poly
-from .star import (EvolutionSingular, OracleNotConverged, StarConfig, classical_flow_matrix,
-                   evolve, moyal_bracket, quadrature_star_oracle, star, star_exp_closed,
+from .star import (EvolutionSingular, OracleNotConverged, classical_flow_matrix, evolve,
+                   moyal_bracket, quadrature_star_oracle, star, star_exp_closed,
                    star_exp_closed_taylor, star_exp_series)
 from .verify import (CHECK_REGISTRY, CheckEntry, VerificationReport, run_all)
 
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CHECK_REGISTRY", "CheckEntry", "EvolutionSingular", "GaussianCompositionSingular",
     "LadderSet", "ModelId", "NonIntegrable", "OracleNotConverged", "Poly", "QGFunction",
-    "QGTerm", "QuadExponent", "SpectrumEntry", "StarConfig", "UnsupportedPair",
+    "QGTerm", "QuadExponent", "SpectrumEntry", "UnsupportedPair",
     "VarSpace", "VerificationReport", "WaveFunction", "classical_flow_matrix",
     "conjugation_by_V", "dho_f", "dho_g", "eigenvalue", "evolve", "gaussian_test",
     "hamiltonian", "hyperbolic_frame_matrix", "koopman_apply", "ladder_set",

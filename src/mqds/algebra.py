@@ -214,20 +214,22 @@ class QGFunction:
         xs = [np.reshape(a, [len(a) if i == k else 1 for i in range(d)]) for k, a in enumerate(axes)]
         vals = np.zeros(shape, dtype=complex)
         for t in self.terms:
-            A, b = t.expo.A, t.expo.b
-            q = np.full(shape, t.expo.c, dtype=complex)
-            for i in range(d):
-                q += -0.5 * A[i, i] * xs[i] ** 2 + b[i] * xs[i]
-                for j in range(i + 1, d):
-                    if A[i, j] != 0:
-                        q += (-A[i, j]) * xs[i] * xs[j]
+            # monomials and exponent grown from the 1-D axes by broadcasting,
+            # so at most three full-size arrays (vals, pv, q) are alive at once
             pv = np.zeros(shape, dtype=complex)
             for e, coef in t.poly.terms.items():
-                mono = np.full(shape, coef, dtype=complex)
+                mono = coef
                 for x, k in zip(xs, e):
                     if k:
-                        mono *= x.astype(complex) ** k
+                        mono = mono * x.astype(complex) ** k
                 pv += mono
+            A, b = t.expo.A, t.expo.b
+            q = t.expo.c
+            for i in range(d):
+                q = _add_into(q, -0.5 * A[i, i] * xs[i] ** 2 + b[i] * xs[i])
+                for j in range(i + 1, d):
+                    if A[i, j] != 0:
+                        q = _add_into(q, (-A[i, j]) * xs[i] * xs[j])
             np.exp(q, out=q)
             q *= pv
             vals += q
@@ -310,6 +312,18 @@ class QGFunction:
 
     def __repr__(self) -> str:
         return f"QGFunction(N={self.space.n_dof}, hbar={self.space.hbar}, {len(self.terms)} terms)"
+
+
+def _add_into(acc, term: np.ndarray):
+    """acc + term, in place in whichever scratch operand has the sum's shape."""
+    shape = np.broadcast_shapes(np.shape(acc), term.shape)
+    if np.shape(acc) == shape:
+        acc += term
+        return acc
+    if term.shape == shape:
+        term += acc
+        return term
+    return acc + term
 
 
 def _canonicalize(space: VarSpace, terms: List[QGTerm]) -> List[QGTerm]:

@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import QGFunction, VarSpace
 from .models import (ModelId, dho_f, dho_g, hamiltonian, oscillator_wigner, spectrum,
                      toy_resonant)
-from .star import OracleNotConverged, StarConfig, quadrature_star_oracle, star
+from .star import OracleNotConverged, quadrature_star_oracle, star
 from .verify import CHECK_REGISTRY, run_all
 
 log = logging.getLogger("mqds")
@@ -270,8 +270,7 @@ def _named_function(name: str, space: VarSpace, args) -> QGFunction:
 
 
 def cmd_oracle(args) -> int:
-    n_dof = 2 if args.ndof == 2 else 1
-    space = VarSpace(n_dof, args.hbar)
+    space = VarSpace(args.ndof, args.hbar)
     f = _named_function(args.f, space, args)
     g = _named_function(args.g, space, args)
     pts: List[np.ndarray] = []
@@ -284,13 +283,11 @@ def cmd_oracle(args) -> int:
         pts.append(np.array(vals))
     if not pts:
         raise UsageError("no oracle points given")
-    cfg = StarConfig(oracle_grid_halfwidth=args.halfwidth,
-                     oracle_points_per_axis=args.points_per_axis)
     closed_fn = star(f, g)
     lines = ["point,closed_re,closed_im,quadrature_re,quadrature_im,rel_error"]
     for z in pts:
         closed = closed_fn.evaluate(z)
-        quad = quadrature_star_oracle(f, g, z, cfg)
+        quad = quadrature_star_oracle(f, g, z)
         rel = abs(closed - quad) / max(abs(closed), abs(quad), 1e-12)
         lines.append(",".join(["/".join(_fmt(v) for v in z),
                                _fmt(closed.real), _fmt(closed.imag),
@@ -311,11 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--hbar", type=float, default=1.0)
     common.add_argument("--omega", type=float, default=1.0)
     common.add_argument("--gamma", type=float, default=1.0)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="write data here instead of stdout")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tolerance", default=None,
-                        help="comma-separated name=value tolerance overrides")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -325,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=int, default=4)
     sp.add_argument("--max-m", type=int, default=4)
     sp.add_argument("--sign", choices=("+", "-", "none"), default="+")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_spectrum)
 
     ef = sub.add_parser("eigenfunction", parents=[common],
@@ -336,11 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     ef.add_argument("--sign", choices=("+", "-"), default="+")
     ef.add_argument("--grid", required=True,
                     help="axis spec like x=-3:3:65,p=-3:3:65 (unlisted variables pinned at 0)")
+    ef.add_argument("--format", choices=("csv", "json"), default="csv")
     ef.set_defaults(fn=cmd_eigenfunction)
 
     vf = sub.add_parser("verify", parents=[common], help="run the verification registry")
     vf.add_argument("--suite", default="all",
                     help="'all' or comma-separated registry names")
+    vf.add_argument("--seed", type=int, default=0)
+    vf.add_argument("--tolerance", default=None,
+                    help="comma-separated name=value tolerance overrides")
     vf.set_defaults(fn=cmd_verify)
 
     orc = sub.add_parser("oracle", parents=[common],
@@ -349,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--g", required=True)
     orc.add_argument("--points", required=True, help="semicolon-separated points, e.g. '1,1;0,0.5'")
     orc.add_argument("--ndof", type=int, choices=(1, 2), default=1)
-    orc.add_argument("--halfwidth", type=float, default=StarConfig.oracle_grid_halfwidth)
-    orc.add_argument("--points-per-axis", type=int, default=48)
     orc.set_defaults(fn=cmd_oracle)
     return parser
 

@@ -160,16 +160,18 @@ def ladder_set(model: ModelId, space: VarSpace) -> LadderSet:
     return LadderSet(space, {"a1": a1, "a2": a2, "a1*": a1.conjugate(), "a2*": a2.conjugate()})
 
 
-def _star_left(gen: QGFunction, f: QGFunction, k: int) -> QGFunction:
-    for _ in range(k):
-        f = star(gen, f)
-    return f
-
-
-def _star_right(f: QGFunction, gen: QGFunction, k: int) -> QGFunction:
-    for _ in range(k):
-        f = star(f, gen)
-    return f
+def _ladder(ground: QGFunction, left: Sequence[Tuple[QGFunction, int]],
+            right: Sequence[Tuple[QGFunction, int]]) -> QGFunction:
+    """Star-multiply the ground state by each (generator, count) of `left` from
+    the left in list order, then by each of `right` from the right."""
+    out = ground
+    for gen, count in left:
+        for _ in range(count):
+            out = star(gen, out)
+    for gen, count in right:
+        for _ in range(count):
+            out = star(out, gen)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +224,7 @@ def oscillator_wigner_ladder(n: int, space: VarSpace) -> QGFunction:
     if not (0 <= n <= 12):
         raise ValueError("supported index range is 0 <= n <= 12")
     lad = ladder_set(ModelId.oscillator(), space)
-    out = oscillator_wigner(0, space)
-    out = _star_left(lad["a*"], out, n)
-    out = _star_right(out, lad["a"], n)
+    out = _ladder(oscillator_wigner(0, space), [(lad["a*"], n)], [(lad["a"], n)])
     return out.scaled(1.0 / math.factorial(n))
 
 
@@ -259,9 +259,9 @@ def toy_resonant_ladder(n: int, sign: str, space: VarSpace) -> QGFunction:
     p = QGFunction.coordinate(space, 1)
     hbar = space.hbar
     if sign == "+":
-        out = _star_right(_star_left(x, toy_resonant(0, "+", space), n), p, n)
+        out = _ladder(toy_resonant(0, "+", space), [(x, n)], [(p, n)])
         return out.scaled((1j / hbar) ** n / math.factorial(n))
-    out = _star_right(_star_left(p, toy_resonant(0, "-", space), n), x, n)
+    out = _ladder(toy_resonant(0, "-", space), [(p, n)], [(x, n)])
     return out.scaled((-1j / hbar) ** n / math.factorial(n))
 
 
@@ -291,10 +291,7 @@ def dho_f(n: int, m: int, sign: str, space: VarSpace) -> QGFunction:
     if n == 0 and m == 0:
         return F00
     lad = ladder_set(ModelId.dho(), space)
-    out = _star_left(lad["a2"], F00, n)
-    out = _star_left(lad["a2*"], out, m)
-    out = _star_right(out, lad["a1"], m)
-    out = _star_right(out, lad["a1*"], n)
+    out = _ladder(F00, [(lad["a2"], n), (lad["a2*"], m)], [(lad["a1"], m), (lad["a1*"], n)])
     total = out.gaussian_integral()
     return out.scaled(1.0 / total)
 
@@ -321,10 +318,7 @@ def dho_g(n: int, m: int, space: VarSpace) -> QGFunction:
     if n == 0 and m == 0:
         return G00
     lad = ladder_set(ModelId.dho(), space)
-    out = _star_left(lad["a2*"], G00, n)
-    out = _star_left(lad["a1*"], out, m)
-    out = _star_right(out, lad["a1"], n)
-    out = _star_right(out, lad["a2"], m)
+    out = _ladder(G00, [(lad["a2*"], n), (lad["a1*"], m)], [(lad["a1"], n), (lad["a2"], m)])
     return out.scaled(1.0 / (math.factorial(n) * math.factorial(m)))
 
 

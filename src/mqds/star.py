@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -43,19 +42,12 @@ class EvolutionSingular(Exception):
 
 
 class OracleNotConverged(Exception):
-    """Quadrature oracle refinements failed to settle."""
+    """Quadrature oracle refinements failed to settle, or its grid was too large."""
 
 
-@dataclass(frozen=True)
-class StarConfig:
-    # cap on the decaying path's box half-width, sqrt(36/floor) + |z|: a cap
-    # of 8 cut the tails at Re A floors near 0.4 (a 2.5e-5 miss)
-    oracle_grid_halfwidth: float = 12.0
-    oracle_points_per_axis: int = 48
-
-    def __post_init__(self):
-        if self.oracle_points_per_axis < 32 or self.oracle_points_per_axis % 2:
-            raise ValueError("oracle_points_per_axis must be even and >= 32")
+# the largest quadrature grid the oracle builds: a quadrature peaks near 76 B
+# per point, so about 1.3 GB
+ORACLE_MAX_GRID_POINTS = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +417,13 @@ def _twisted_kernel(arr: np.ndarray, nodes: np.ndarray, k: float, s: float, t: f
 
 def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
                         halfwidth: float, points: int) -> complex:
-    """Tensor Gauss-Legendre quadrature of the twisted-product integral."""
+    """Tensor Gauss-Legendre quadrature of the twisted-product integral; a grid
+    over ORACLE_MAX_GRID_POINTS raises OracleNotConverged before it exists."""
     space = f.space
     n, hbar = space.n_dof, space.hbar
+    if points ** space.dim > ORACLE_MAX_GRID_POINTS:
+        raise OracleNotConverged(f"a {points}^{space.dim} quadrature grid exceeds the oracle's "
+                                 f"grid bound of {ORACLE_MAX_GRID_POINTS} points")
     nodes, weights = gauss_legendre(points)
     nodes = nodes * halfwidth
     weights = weights * halfwidth
@@ -481,7 +477,7 @@ def _rational_to_zero(xs: Sequence[float], ys: Sequence[complex]) -> complex:
 _ORACLE_EPS_LADDER = (0.4, 0.3, 0.22, 0.16, 0.12, 0.09, 0.07, 0.055, 0.045)
 
 
-def quadrature_star_oracle(f: QGFunction, g: QGFunction, z, cfg: StarConfig | None = None) -> complex:
+def quadrature_star_oracle(f: QGFunction, g: QGFunction, z) -> complex:
     """Evaluate (f*g)(z) by quadrature of the twisted-product integral.
 
     Independent of the closed-form composition: pure grid sums.  Strictly
@@ -491,9 +487,9 @@ def quadrature_star_oracle(f: QGFunction, g: QGFunction, z, cfg: StarConfig | No
     (det-root) x exp of rational functions of eps, which Bulirsch-Stoer
     extrapolation reproduces to well below the acceptance threshold.
     Raises OracleNotConverged when refinements or extrapolants disagree
-    beyond 1e-5 relative, or when the integrand grows on the real domain.
+    beyond 1e-5 relative, the integrand grows on the real domain or a grid
+    would exceed ORACLE_MAX_GRID_POINTS.
     """
-    cfg = cfg or StarConfig()
     if f.space.n_dof > 2:
         raise ValueError("oracle supports N <= 2")
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -504,24 +500,20 @@ def quadrature_star_oracle(f: QGFunction, g: QGFunction, z, cfg: StarConfig | No
     if floor > 1e-8:
         # honest Gaussian decay: box wide enough for the tails, grid fine
         # enough for the twisted kernel's oscillation across the box
-        L = min(cfg.oracle_grid_halfwidth,
-                max(4.0, math.sqrt(36.0 / floor) + float(np.abs(z).max())))
-        pts = max(cfg.oracle_points_per_axis,
-                  int(4.6 * L * L / (math.pi * f.space.hbar)) + 40) // 2 * 2
+        L = max(4.0, math.sqrt(36.0 / floor) + float(np.abs(z).max()))
         if f.space.n_dof == 2:
-            # memory/time: the kernel contraction holds P^4 tensors
-            pts, refined = 44, 52
+            # time: the kernel contraction holds P^4 tensors
+            counts = (44, 52)
         else:
-            refined = int(pts * 1.4) // 2 * 2
-        vals = [_twisted_quadrature(f, g, z, L, p) for p in (pts, refined)]
-        scale = max(abs(vals[-1]), 1e-9)
-        if abs(vals[-1] - vals[-2]) > 1e-5 * scale:
-            if f.space.n_dof == 2:
-                raise OracleNotConverged("grid refinements disagree")
-            vals.append(_twisted_quadrature(f, g, z, L, 2 * pts))
-            if abs(vals[-1] - vals[-2]) > 1e-5 * max(abs(vals[-1]), 1e-9):
-                raise OracleNotConverged("grid refinements disagree")
-        return vals[-1]
+            pts = max(48, int(4.6 * L * L / (math.pi * f.space.hbar)) + 40) // 2 * 2
+            counts = (pts, int(pts * 1.4) // 2 * 2, 2 * pts)
+        prev = None
+        for points in counts:
+            val = _twisted_quadrature(f, g, z, L, points)
+            if prev is not None and abs(val - prev) <= 1e-5 * max(abs(val), 1e-9):
+                return val
+            prev = val
+        raise OracleNotConverged("grid refinements disagree")
 
     if f.space.n_dof == 2:
         raise OracleNotConverged("oscillatory N=2 grid would be too large")

@@ -259,6 +259,30 @@ def test_oracle_g00_exit_code():
     assert r.returncode == 4
 
 
+def test_oracle_grid_bound_exit_code():
+    # W0*W0 at hbar = 1e-3 needs a 23466^2 grid: refused before it is built
+    assert main(["oracle", "--f", "W0", "--g", "W0", "--points", "0,0", "--hbar", "0.001"]) == 4
+
+
+SPECTRUM = ["spectrum", "--model", "oscillator", "--max-n", "0"]
+EIGENFUNCTION = ["eigenfunction", "--model", "oscillator", "--grid", "x=-1:1:3,p=-1:1:3"]
+VERIFY = ["verify", "--suite", "classical_limit"]
+ORACLE = ["oracle", "--f", "x", "--g", "p", "--points", "1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    SPECTRUM + ["--seed", "1"], SPECTRUM + ["--tolerance", "classical_limit=1"],
+    EIGENFUNCTION + ["--seed", "1"], EIGENFUNCTION + ["--tolerance", "classical_limit=1"],
+    VERIFY + ["--format", "csv"],
+    ORACLE + ["--format", "csv"], ORACLE + ["--seed", "1"],
+    ORACLE + ["--tolerance", "classical_limit=1"],
+    ORACLE + ["--halfwidth", "8"], ORACLE + ["--points-per-axis", "64"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_json_function_input(tmp_path):
     from mqds.algebra import QGFunction, VarSpace
     sp = VarSpace(1, 1.0)

@@ -19,7 +19,7 @@ from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, int
                             integrate_poly_exp, moments_poly, moments_scalar)
 from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
 from mqds.poly import Poly, multi_factorial, multi_indices
-from mqds.star import (EvolutionSingular, OracleNotConverged, StarConfig, _dampened,
+from mqds.star import (EvolutionSingular, OracleNotConverged, _dampened,
                        _series_term_pair, _twisted_kernel, _twisted_quadrature,
                        classical_flow_matrix, evolve, gauss_legendre, moyal_bracket,
                        quadrature_star_oracle, star, star_exp_closed,
@@ -473,8 +473,9 @@ def test_oracle_refinement_error_decreases(space):
 
 
 def test_oracle_box_holds_slow_tails(space):
-    # Re A floor 0.41: the tails need a half-width of about 10, and a box
-    # capped at 8 missed this value (0.96 beside a peak of 800) by 2.5e-5
+    # Re A floor 0.41: the tails need a half-width of about 10, and an 8-wide
+    # box misses this value (0.96 beside a peak of 800) by 2.5e-5 at a point
+    # count that resolves the kernel
     def gaussian(*terms):
         return QGFunction(space, [QGTerm(Poly(2, poly), QuadExponent(np.array(A), np.array(b)))
                                   for A, b, poly in terms])
@@ -489,9 +490,25 @@ def test_oracle_box_holds_slow_tails(space):
                   {(1, 0): 0.48 - 0.11j, (1, 1): 0.43 - 0.48j, (3, 1): -0.18 - 1.2j}))
     z = [-0.42, 0.67]
     closed = star(f, g).evaluate(z)
-    capped = quadrature_star_oracle(f, g, z, StarConfig(oracle_grid_halfwidth=8.0))
-    assert abs(capped - closed) > 1e-6 * abs(closed)
+    narrow = _twisted_quadrature(f, g, np.array(z), 8.0, 184)
+    assert abs(narrow - closed) > 1e-6 * abs(closed)
     assert abs(quadrature_star_oracle(f, g, z) - closed) <= 1e-9 * abs(closed)
+
+
+def test_oracle_grid_bound_raises_before_allocating(monkeypatch):
+    # W0*W0 at hbar = 1e-3 asks for a 23466^2 grid, about 42 GB at the peak
+    space = VarSpace(1, 1e-3)
+    W0 = oscillator_wigner(0, space)
+
+    def no_rule(points):
+        raise AssertionError(f"a {points}-point rule was built")
+
+    monkeypatch.setattr(importlib.import_module("mqds.star"), "gauss_legendre", no_rule)
+    with pytest.raises(OracleNotConverged, match=r"23466\^2 .* grid bound of 16777216 points"):
+        quadrature_star_oracle(W0, W0, [0.0, 0.0])
+    unit = w0(VarSpace(1, 1.0))
+    with pytest.raises(OracleNotConverged, match="grid bound"):
+        _twisted_quadrature(unit, unit, np.zeros(2), 8.0, 4098)     # 4098^2 > 2^24
 
 
 def test_gauss_legendre_rule():
@@ -620,10 +637,3 @@ def test_oracle_two_dof_gaussians(space2):
     closed = star(f, g).evaluate(z)
     quad = quadrature_star_oracle(f, g, z)
     assert abs(closed - quad) <= 1e-6 * abs(closed)
-
-
-def test_star_config_validation():
-    with pytest.raises(ValueError):
-        StarConfig(oracle_points_per_axis=30)
-    with pytest.raises(ValueError):
-        StarConfig(oracle_points_per_axis=33)
