@@ -8,11 +8,10 @@ and verifies the algebraic identities they satisfy.
 
 from .algebra import QGFunction, QGTerm, QuadExponent, VarSpace, gaussian_test, poisson_bracket
 from .gausspoly import GaussianCompositionSingular, NonIntegrable
-from .models import (LadderSet, ModelId, SpectrumEntry, UnsupportedPair, WaveFunction,
-                     conjugation_by_V, dho_f, dho_g, eigenvalue, hamiltonian,
-                     hyperbolic_frame_matrix, koopman_apply, ladder_set, lift_dynamics,
-                     oscillator_wigner, oscillator_wigner_ladder, spectrum, toy_resonant,
-                     toy_resonant_ladder, wigner_pair_transform)
+from .models import (ModelId, UnsupportedPair, WaveFunction, conjugation_by_V, dho_f, dho_g,
+                     eigenvalue, hamiltonian, hyperbolic_frame_matrix, koopman_apply,
+                     ladder_set, lift_dynamics, oscillator_wigner, oscillator_wigner_ladder,
+                     spectrum, toy_resonant, toy_resonant_ladder, wigner_pair_transform)
 from .poly import Poly
 from .star import (EvolutionSingular, OracleNotConverged, classical_flow_matrix, evolve,
                    moyal_bracket, quadrature_star_oracle, star, star_exp_closed,
@@ -23,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECK_REGISTRY", "CheckEntry", "EvolutionSingular", "GaussianCompositionSingular",
-    "LadderSet", "ModelId", "NonIntegrable", "OracleNotConverged", "Poly", "QGFunction",
-    "QGTerm", "QuadExponent", "SpectrumEntry", "UnsupportedPair",
+    "ModelId", "NonIntegrable", "OracleNotConverged", "Poly", "QGFunction",
+    "QGTerm", "QuadExponent", "UnsupportedPair",
     "VarSpace", "VerificationReport", "WaveFunction", "classical_flow_matrix",
     "conjugation_by_V", "dho_f", "dho_g", "eigenvalue", "evolve", "gaussian_test",
     "hamiltonian", "hyperbolic_frame_matrix", "koopman_apply", "ladder_set",

@@ -1,8 +1,9 @@
 """Command-line front end: spectra, eigenfunction grids, verification, oracle.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
-4 oracle non-convergence.  Diagnostics go to stderr (level set by MQDS_LOG);
-data goes to stdout or --out.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including an
+input the engine has no answer for, such as a star product that does not
+exist), 3 I/O error, 4 oracle non-convergence.  Diagnostics go to stderr
+(level set by MQDS_LOG); data goes to stdout or --out.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from typing import Dict, List, Sequence, Tuple
@@ -18,9 +20,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .algebra import QGFunction, VarSpace
-from .models import (ModelId, dho_f, dho_g, hamiltonian, oscillator_wigner, spectrum,
-                     toy_resonant)
-from .star import OracleNotConverged, quadrature_star_oracle, star
+from .gausspoly import GaussianCompositionSingular, NonIntegrable
+from .models import (ModelId, UnsupportedPair, dho_f, dho_g, hamiltonian, oscillator_wigner,
+                     spectrum, toy_resonant)
+from .star import EvolutionSingular, OracleNotConverged, quadrature_star_oracle, star
 from .verify import CHECK_REGISTRY, run_all
 
 log = logging.getLogger("mqds")
@@ -101,13 +104,11 @@ def cmd_spectrum(args) -> int:
     rows: List[Tuple[Tuple[int, ...], complex]] = []
     if model.n_dof == 1:
         for n in range(args.max_n + 1):
-            entry = spectrum(model, (n,), sign if model.kind == "damped_toy" else "none")
-            rows.append(((n,), args.hbar * entry.eigenvalue))
+            rows.append(((n,), args.hbar * spectrum(model, (n,), sign)))
     else:
         for n in range(args.max_n + 1):
             for m in range(args.max_m + 1):
-                entry = spectrum(model, (n, m), sign, family=args.family)
-                rows.append(((n, m), args.hbar * entry.eigenvalue))
+                rows.append(((n, m), args.hbar * spectrum(model, (n, m), sign, args.family)))
 
     meta = {"model": model.kind, "family": args.family, "sign": sign,
             "hbar": args.hbar, "omega": args.omega, "gamma": args.gamma}
@@ -300,14 +301,25 @@ def cmd_oracle(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive(text: str) -> float:
+    """argparse type of the physical parameters: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got '{text}'")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mqds",
         description="Moyal star-product engine for quantized damped systems")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=1.0)
-    common.add_argument("--omega", type=float, default=1.0)
-    common.add_argument("--gamma", type=float, default=1.0)
+    common.add_argument("--hbar", type=_positive, default=1.0)
+    common.add_argument("--omega", type=_positive, default=1.0)
+    common.add_argument("--gamma", type=_positive, default=1.0)
     common.add_argument("--out", default=None, help="write data here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -369,7 +381,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IOError as exc:
         log.error("I/O failure: %s", exc)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, GaussianCompositionSingular, NonIntegrable, EvolutionSingular,
+            UnsupportedPair) as exc:
+        # an input outside what the engine computes, e.g. a star product that
+        # does not exist
         log.error("%s", exc)
         return EXIT_USAGE
 

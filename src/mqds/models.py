@@ -61,11 +61,6 @@ class ModelId:
     def n_dof(self) -> int:
         return 2 if self.kind == "damped_ho" else 1
 
-    @property
-    def alpha(self) -> complex:
-        """w - i g; the complex frequency of the damped oscillator."""
-        return complex(self.omega, -self.gamma)
-
     @classmethod
     def oscillator(cls, omega: float = 1.0) -> "ModelId":
         return cls("harmonic_oscillator", omega=omega)
@@ -79,27 +74,16 @@ class ModelId:
         return cls("damped_ho", omega=omega, gamma=gamma)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    model: ModelId
-    family: str                 # "W", "F" or "G"
-    indices: Tuple[int, ...]
-    sign: str                   # "+", "-" or "none"
-    eigenvalue: complex
-
-
-@dataclass
-class LadderSet:
-    space: VarSpace
-    generators: Dict[str, QGFunction]
-
-    def __getitem__(self, name: str) -> QGFunction:
-        return self.generators[name]
-
-
 def _check_space(model: ModelId, space: VarSpace) -> None:
     if space.n_dof != model.n_dof:
         raise ValueError(f"model '{model.kind}' needs N={model.n_dof}, space has N={space.n_dof}")
+
+
+def _sign(sign: str) -> float:
+    """+1 or -1 for the sign of a toy or F family."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"the family has signs '+' and '-', not '{sign}'")
+    return 1.0 if sign == "+" else -1.0
 
 
 def hamiltonian(model: ModelId, space: VarSpace) -> QGFunction:
@@ -145,19 +129,18 @@ def koopman_apply(H: QGFunction, f: QGFunction) -> QGFunction:
 # ladder variables
 # ---------------------------------------------------------------------------
 
-def ladder_set(model: ModelId, space: VarSpace) -> LadderSet:
+def ladder_set(model: ModelId, space: VarSpace) -> Dict[str, QGFunction]:
+    """The model's ladder variables by name."""
     _check_space(model, space)
     s = 1.0 / math.sqrt(2.0 * space.hbar)
     if model.kind == "harmonic_oscillator":
         a = QGFunction.from_poly(space, Poly.linear([s, 1j * s]))
-        return LadderSet(space, {"a": a, "a*": a.conjugate()})
+        return {"a": a, "a*": a.conjugate()}
     if model.kind == "damped_toy":
-        x = QGFunction.coordinate(space, 0)
-        p = QGFunction.coordinate(space, 1)
-        return LadderSet(space, {"x": x, "p": p})
+        return {"x": QGFunction.coordinate(space, 0), "p": QGFunction.coordinate(space, 1)}
     a1 = QGFunction.from_poly(space, Poly.linear([s, 1j * s, 0, 0]))
     a2 = QGFunction.from_poly(space, Poly.linear([0, 0, 1j * s, -s]))
-    return LadderSet(space, {"a1": a1, "a2": a2, "a1*": a1.conjugate(), "a2*": a2.conjugate()})
+    return {"a1": a1, "a2": a2, "a1*": a1.conjugate(), "a2*": a2.conjugate()}
 
 
 def _ladder(ground: QGFunction, left: Sequence[Tuple[QGFunction, int]],
@@ -243,7 +226,7 @@ def toy_resonant(n: int, sign: str, space: VarSpace) -> QGFunction:
         raise ValueError("supported index range is 0 <= n <= 12")
     if space.n_dof != 1:
         raise ValueError("toy family lives on N=1")
-    s = {"+": 1.0, "-": -1.0}[sign]
+    s = _sign(sign)
     hbar = space.hbar
     eta = Poly(2, {(1, 1): s * 4j / hbar})
     poly = _radial_poly(space, laguerre_coeffs(n), eta).scaled((-1.0) ** n / (math.pi * hbar))
@@ -326,42 +309,36 @@ def dho_g(n: int, m: int, space: VarSpace) -> QGFunction:
 # spectra
 # ---------------------------------------------------------------------------
 
-def spectrum(model: ModelId, indices, sign: str = "+", family: str | None = None) -> SpectrumEntry:
-    """Eigenvalue table entry, in units of hbar (scale by the space's hbar)."""
+def spectrum(model: ModelId, indices, sign: str = "+", family: str | None = None) -> complex:
+    """Eigenvalue in units of hbar (scale by the space's hbar).  The oscillator
+    and the G family have no sign; the toy and F families take '+' or '-'."""
     indices = tuple(int(i) for i in (indices if hasattr(indices, "__len__") else (indices,)))
-
-    def entry(fam, sg, value):
-        return SpectrumEntry(model, fam, indices, sg, complex(value))
-
     if model.kind == "harmonic_oscillator":
         (n,) = indices
         if n < 0:
             raise ValueError("index must be nonnegative")
-        return entry("W", "none", model.omega * (n + 0.5))
+        return complex(model.omega * (n + 0.5))
     if model.kind == "damped_toy":
         (n,) = indices
         if n < 0:
             raise ValueError("index must be nonnegative")
-        s = {"+": 1.0, "-": -1.0}[sign]
-        return entry("F", sign, s * 1j * model.gamma * (n + 0.5))
+        return complex(_sign(sign) * 1j * model.gamma * (n + 0.5))
     n, m = indices
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     fam = family or "F"
     if fam == "F":
         val = model.omega * (m - n) - 1j * model.gamma * (n + m + 1)
-        if sign == "-":
-            val = val.conjugate()
-        return entry("F", sign, val)
+        return complex(val.conjugate() if _sign(sign) < 0 else val)
     if fam == "G":
-        return entry("G", "none", model.omega * (n + m + 1) - 1j * model.gamma * (n - m))
+        return complex(model.omega * (n + m + 1) - 1j * model.gamma * (n - m))
     raise ValueError(f"unknown family '{fam}'")
 
 
 def eigenvalue(model: ModelId, space: VarSpace, indices, sign: str = "+",
                family: str | None = None) -> complex:
     """Spectrum entry scaled by the space's hbar."""
-    return space.hbar * spectrum(model, indices, sign, family).eigenvalue
+    return space.hbar * spectrum(model, indices, sign, family)
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, dim: int) -> "Poly":
-        return cls(dim)
-
-    @classmethod
     def const(cls, dim: int, c: complex) -> "Poly":
         return cls(dim, {(0,) * dim: c} if c != 0 else None)
 
@@ -87,6 +83,8 @@ class Poly:
     def max_abs_coeff(self, unit: float = 1.0) -> float:
         """Largest |c| * unit^|e|: the coefficient size once z is measured in `unit`."""
         if unit == 1.0:
+            # every weight is 1 (hbar = 1): skipping them gives the same result
+            # with less work per term, on the hot canonicalization path
             return max((abs(c) for c in self.terms.values()), default=0.0)
         return max((abs(c) * unit ** sum(e) for e, c in self.terms.items()), default=0.0)
 
@@ -139,11 +137,6 @@ class Poly:
                 t.pop(e, None)
             else:
                 t[e] = acc
-
-    def diff(self, index: int) -> "Poly":
-        """d P / d z_index."""
-        bits = packed_bits(self.dim)
-        return Poly.from_packed(self.dim, bits, *packed_diff(*self.to_packed(bits), index, bits))
 
     def conj(self) -> "Poly":
         p = Poly(self.dim)
@@ -202,10 +195,11 @@ class Poly:
             out[tuple(e2)] = out.get(tuple(e2), 0j) + c
         return Poly(dim_out, out)
 
-    def pruned(self, abs_tol: float, unit: float = 1.0) -> "Poly":
+    def pruned(self, abs_tol: float, unit: float) -> "Poly":
         """Keep the terms with |c| * unit^|e| > abs_tol."""
         p = Poly(self.dim)
         if unit == 1.0:
+            # as in max_abs_coeff
             p.terms = {e: c for e, c in self.terms.items() if abs(c) > abs_tol}
         else:
             p.terms = {e: c for e, c in self.terms.items() if abs(c) * unit ** sum(e) > abs_tol}
@@ -265,9 +259,8 @@ def unpack(keys: np.ndarray, dim: int, bits: int) -> np.ndarray:
 
 
 def packed_diff(keys: np.ndarray, coeffs: np.ndarray, index: int, bits: int,
-                row: np.ndarray | None = None, const: complex = 0j) -> Tuple[np.ndarray, np.ndarray]:
-    """(d_index + g) P for a packed P, with g = row . z + const (g = 0 when
-    row is None).
+                row: np.ndarray, const: complex) -> Tuple[np.ndarray, np.ndarray]:
+    """(d_index + g) P for a packed P, with g = row . z + const.
 
     Each nonzero row[k] multiplies P by z_k, which adds one to exponent k, so
     the caller keeps the exponents below 2**bits - 1 when g is not constant.
@@ -276,8 +269,6 @@ def packed_diff(keys: np.ndarray, coeffs: np.ndarray, index: int, bits: int,
     e = (keys >> shift) & ((1 << bits) - 1)
     has = e != 0
     d_keys, d_coeffs = keys[has] - (1 << shift), coeffs[has] * e[has]
-    if row is None:
-        return d_keys, d_coeffs
     nz = row.nonzero()[0]
     if not len(nz) and const == 0:
         return d_keys, d_coeffs

@@ -150,16 +150,11 @@ def star(f: QGFunction, g: QGFunction) -> QGFunction:
     space = f.space
     out: List[QGTerm] = []
     for t1 in f.terms:
-        z1 = t1.expo.is_zero()
         for t2 in g.terms:
-            z2 = t2.expo.is_zero()
-            if z1 and z2:
-                bound = min(t1.poly.degree(), t2.poly.degree())
-                out.extend(_series_term_pair(space, t1, t2, bound))
-            elif z1:
-                out.extend(_series_term_pair(space, t1, t2, t1.poly.degree()))
-            elif z2:
-                out.extend(_series_term_pair(space, t1, t2, t2.poly.degree()))
+            # the series terminates at the lower degree of the polynomial factors
+            degrees = [t.poly.degree() for t in (t1, t2) if t.expo.is_zero()]
+            if degrees:
+                out.extend(_series_term_pair(space, t1, t2, min(degrees)))
             else:
                 out.append(_compose_term_pair(space, t1, t2))
     return QGFunction(space, out)
@@ -254,29 +249,15 @@ def star_exp_closed(model, t: float, space: VarSpace) -> QGFunction:
             raise EvolutionSingular(f"star exponential singular at t = {t}")
     H = hamiltonian(model, space).polynomial_part()
 
-    # exponent is a pure quadratic: fold hfac*tan * H into (A, b, c)
+    # both models' H are homogeneous quadratics: fold hfac*tan * H into A
     d = space.dim
     A = np.zeros((d, d), dtype=complex)
-    b = np.zeros(d, dtype=complex)
-    c = 0j
     for e, coef in H.terms.items():
         w = hfac * tanv * coef
-        deg = sum(e)
-        if deg == 0:
-            c += w
-        elif deg == 1:
-            b[e.index(1)] += w
-        elif deg == 2:
-            idx = [i for i, k in enumerate(e) for _ in range(k)]
-            i, j = idx
-            if i == j:
-                A[i, i] += -2.0 * w
-            else:
-                A[i, j] += -w
-                A[j, i] += -w
-        else:
-            raise ValueError("closed star exponential needs a quadratic Hamiltonian")
-    return QGFunction.from_exponent(space, A, b, c, coeff=1.0 / cosv)
+        i, j = [i for i, k in enumerate(e) for _ in range(k)]
+        A[i, j] -= w
+        A[j, i] -= w
+    return QGFunction.from_exponent(space, A, coeff=1.0 / cosv)
 
 
 def star_exp_closed_taylor(model, order: int, space: VarSpace) -> List[QGFunction]:

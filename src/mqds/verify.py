@@ -19,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -32,34 +32,6 @@ from .models import (ModelId, WaveFunction, conjugation_by_V, dho_f, dho_g, eige
 from .poly import Poly
 from .star import (classical_flow_matrix, evolve, gauss_legendre, moyal_bracket,
                    quadrature_star_oracle, star, star_exp_closed_taylor, star_exp_series)
-
-CHECK_REGISTRY = (
-    "eigen_residual",
-    "star_orthogonality",
-    "marginal_delta",
-    "normalization",
-    "identity_resolution",
-    "evolution_match",
-    "complex_scaling_match",
-    "koopman_zero_mode",
-    "conjugation_symmetry",
-    "pair_transform_match",
-    "classical_limit",
-)
-
-DEFAULT_TOLERANCES = {
-    "eigen_residual": 1e-10,
-    "star_orthogonality": 1e-9,
-    "marginal_delta": 1e-8,
-    "normalization": 1e-8,
-    "identity_resolution": 1e-3,
-    "evolution_match": 1e-10,
-    "complex_scaling_match": 1e-10,
-    "koopman_zero_mode": 1e-12,
-    "conjugation_symmetry": 1e-12,
-    "pair_transform_match": 1e-10,
-    "classical_limit": 1e-12,
-}
 
 
 @dataclass
@@ -130,9 +102,9 @@ def _json_value(v):
 
 
 class _Recorder:
-    def __init__(self, name: str, tolerance: float):
+    def __init__(self, name: str, tolerance: float | None):
         self.name = name
-        self.tolerance = tolerance
+        self.tolerance = tolerance or _CHECKS[name][1]
         self.entries: List[CheckEntry] = []
 
     def add(self, residual: float, tolerance: float | None = None, **params) -> None:
@@ -167,27 +139,27 @@ def _rel_two_sided_eigen(H: QGFunction, F: QGFunction, E: complex) -> float:
 # ---------------------------------------------------------------------------
 
 def check_eigen(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
-                max_index: int = 8, max_index_2d: int = 4,
                 tolerance: float | None = None) -> VerificationReport:
-    """Two-sided eigen-equations for all four families, plus the CCRs and the
-    ladder/closed-form equivalences that anchor the constructions."""
-    rec = _Recorder("eigen_residual", tolerance or DEFAULT_TOLERANCES["eigen_residual"])
+    """Two-sided eigen-equations for all four families (n <= 8 at N = 1,
+    n, m <= 4 at N = 2), plus the CCRs and the ladder/closed-form
+    equivalences that anchor the constructions."""
+    rec = _Recorder("eigen_residual", tolerance)
     sp1 = VarSpace(1, hbar)
     sp2 = VarSpace(2, hbar)
     osc, toy, dho = ModelId.oscillator(omega), ModelId.toy(gamma), ModelId.dho(omega, gamma)
 
     H = hamiltonian(osc, sp1)
-    for n in range(max_index + 1):
+    for n in range(9):
         W = oscillator_wigner(n, sp1)
         rec.add(_rel_two_sided_eigen(H, W, eigenvalue(osc, sp1, n)), family="W", n=n)
-    for n in range(max_index + 1):
+    for n in range(9):
         Wl = oscillator_wigner_ladder(n, sp1)
         W = oscillator_wigner(n, sp1)
         rec.add((Wl - W).coeff_norm() / W.coeff_norm(), family="W", n=n, identity="ladder_closed")
 
     H = hamiltonian(toy, sp1)
     for sign in "+-":
-        for n in range(max_index + 1):
+        for n in range(9):
             F = toy_resonant(n, sign, sp1)
             rec.add(_rel_two_sided_eigen(H, F, eigenvalue(toy, sp1, n, sign)),
                     family="F_toy", n=n, sign=sign)
@@ -197,13 +169,13 @@ def check_eigen(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
 
     H = hamiltonian(dho, sp2)
     for sign in "+-":
-        for n in range(max_index_2d + 1):
-            for m in range(max_index_2d + 1):
+        for n in range(5):
+            for m in range(5):
                 F = dho_f(n, m, sign, sp2)
                 rec.add(_rel_two_sided_eigen(H, F, eigenvalue(dho, sp2, (n, m), sign, "F")),
                         family="F_dho", n=n, m=m, sign=sign)
-    for n in range(max_index_2d + 1):
-        for m in range(max_index_2d + 1):
+    for n in range(5):
+        for m in range(5):
             G = dho_g(n, m, sp2)
             rec.add(_rel_two_sided_eigen(H, G, eigenvalue(dho, sp2, (n, m), "none", "G")),
                     family="G_dho", n=n, m=m)
@@ -233,22 +205,20 @@ def _orthogonality_entries(rec: _Recorder, members: Dict[Tuple, QGFunction],
                     family=family, left=list(idx1), right=list(idx2))
 
 
-def check_star_orthogonality(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
-                             max_index: int = 6, max_index_2d: int = 2,
-                             tolerance: float | None = None,
-                             seed: int = 0) -> VerificationReport:
-    """(2 pi hbar)^N F_n * F_m = delta_nm F_n for the three integrable families,
-    plus quadrature-oracle validation of the Gaussian composition rule."""
-    rec = _Recorder("star_orthogonality", tolerance or DEFAULT_TOLERANCES["star_orthogonality"])
+def check_star_orthogonality(hbar: float = 1.0, seed: int = 0,
+                             tolerance: float | None = None) -> VerificationReport:
+    """(2 pi hbar)^N F_n * F_m = delta_nm F_n for the three integrable families
+    (n, m <= 6 at N = 1, indices <= 2 at N = 2), plus quadrature-oracle
+    validation of the Gaussian composition rule."""
+    rec = _Recorder("star_orthogonality", tolerance)
     sp1, sp2 = VarSpace(1, hbar), VarSpace(2, hbar)
 
-    W = {(n,): oscillator_wigner(n, sp1) for n in range(max_index + 1)}
+    W = {(n,): oscillator_wigner(n, sp1) for n in range(7)}
     _orthogonality_entries(rec, W, 2 * math.pi * hbar, "W")
     for sign in "+-":
-        F = {(n,): toy_resonant(n, sign, sp1) for n in range(max_index + 1)}
+        F = {(n,): toy_resonant(n, sign, sp1) for n in range(7)}
         _orthogonality_entries(rec, F, 2 * math.pi * hbar, f"F_toy{sign}")
-    Fd = {(n, m): dho_f(n, m, "+", sp2)
-          for n in range(max_index_2d + 1) for m in range(max_index_2d + 1)}
+    Fd = {(n, m): dho_f(n, m, "+", sp2) for n in range(3) for m in range(3)}
     _orthogonality_entries(rec, Fd, (2 * math.pi * hbar) ** 2, "F_dho+")
 
     # oracle validation: closed-form star against the twisted-integral
@@ -328,13 +298,12 @@ def _grid_pair_reference(f: QGFunction, test: QGFunction) -> complex:
     return complex(total)
 
 
-def check_marginals(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
-                    tolerance: float | None = None) -> VerificationReport:
+def check_marginals(hbar: float = 1.0, tolerance: float | None = None) -> VerificationReport:
     """Weak-form delta marginals of the resonant families: pairing against
     each member of the documented test family equals the test's value at the
     origin.  The oscillator family has honest Gaussian marginals instead, so
     its pairings are checked against an independent grid quadrature."""
-    rec = _Recorder("marginal_delta", tolerance or DEFAULT_TOLERANCES["marginal_delta"])
+    rec = _Recorder("marginal_delta", tolerance)
     sp1, sp2 = VarSpace(1, hbar), VarSpace(2, hbar)
 
     def delta_form_entry(F, space, direction, **params):
@@ -369,29 +338,29 @@ def check_marginals(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
     return rec.report()
 
 
-def check_normalization(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
-                        max_index: int = 8, max_index_2d: int = 2,
-                        tolerance: float | None = None) -> VerificationReport:
-    """gaussian_integral of every normalized family member equals 1."""
-    rec = _Recorder("normalization", tolerance or DEFAULT_TOLERANCES["normalization"])
+def check_normalization(hbar: float = 1.0, tolerance: float | None = None) -> VerificationReport:
+    """gaussian_integral of every normalized family member (n <= 8 at N = 1,
+    n, m <= 2 at N = 2) equals 1."""
+    rec = _Recorder("normalization", tolerance)
     sp1, sp2 = VarSpace(1, hbar), VarSpace(2, hbar)
-    for n in range(max_index + 1):
+    for n in range(9):
         rec.add(abs(oscillator_wigner(n, sp1).gaussian_integral() - 1.0), family="W", n=n)
     for sign in "+-":
-        for n in range(max_index + 1):
+        for n in range(9):
             rec.add(abs(toy_resonant(n, sign, sp1).gaussian_integral() - 1.0),
                     family="F_toy", n=n, sign=sign)
     for sign in "+-":
-        for n in range(max_index_2d + 1):
-            for m in range(max_index_2d + 1):
+        for n in range(3):
+            for m in range(3):
                 rec.add(abs(dho_f(n, m, sign, sp2).gaussian_integral() - 1.0),
                         family="F_dho", n=n, m=m, sign=sign)
     return rec.report()
 
 
-def check_identity_resolution(hbar: float = 1.0, n_max: int = 12,
+def check_identity_resolution(hbar: float = 1.0,
                               tolerance: float | None = None) -> VerificationReport:
-    """Partial sums of the family resolutions converge weakly to (2 pi hbar)^-1.
+    """Partial sums of the family resolutions, through n = 12, converge weakly
+    to (2 pi hbar)^-1.
 
     The oscillator sum is paired with a real Gaussian.  The toy-model sum is
     paired with a chirality-matched integrable test e^{-|z|^2/2 - 2ixp/hbar}:
@@ -400,15 +369,14 @@ def check_identity_resolution(hbar: float = 1.0, n_max: int = 12,
     converge in Abel's sense, while the matched test makes the convergence
     geometric and monotone.
     """
-    rec = _Recorder("identity_resolution",
-                    tolerance or DEFAULT_TOLERANCES["identity_resolution"])
+    rec = _Recorder("identity_resolution", tolerance)
     sp = VarSpace(1, hbar)
 
     def run(label: str, member_fn: Callable[[int], QGFunction], test: QGFunction) -> None:
         ref = test.gaussian_integral() / (2 * math.pi * hbar)
         partial = QGFunction.zero(sp)
         residuals = []
-        for n in range(n_max + 1):
+        for n in range(13):
             partial = partial + member_fn(n)
             if n >= 2 and n % 2 == 0:
                 residuals.append(abs(partial.pair(test) - ref))
@@ -427,15 +395,13 @@ def check_identity_resolution(hbar: float = 1.0, n_max: int = 12,
 
 
 def check_evolution(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
-                    order: int = 8, tolerance: float | None = None) -> VerificationReport:
-    """Star-exponential checks: series vs closed form through t^order, the
+                    tolerance: float | None = None) -> VerificationReport:
+    """Star-exponential checks: series vs closed form through t^8, the
     evolution equation i hbar dU/dt = H * U order by order, Moyal bracket
     degeneration to i hbar {.,.} for the quadratic Hamiltonians, and
     classical-characteristic transport of a displaced Gaussian."""
-    if order > 8:
-        raise ValueError("evolution check capped at order 8")
-    tol = tolerance or DEFAULT_TOLERANCES["evolution_match"]
-    rec = _Recorder("evolution_match", tol)
+    rec = _Recorder("evolution_match", tolerance)
+    order = 8
     sp = VarSpace(1, hbar)
     for model in (ModelId.oscillator(omega), ModelId.toy(gamma)):
         H = hamiltonian(model, sp)
@@ -475,15 +441,14 @@ def check_evolution(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
     return rec.report()
 
 
-def check_complex_scaling(hbar: float = 1.0, gamma: float = 1.0, max_index: int = 6,
-                          order: int = 6, seed: int = 0,
+def check_complex_scaling(hbar: float = 1.0, gamma: float = 1.0, seed: int = 0,
                           tolerance: float | None = None) -> VerificationReport:
     """Complex-scaling checks: the quadratic-generator map at lambda = pi/4,
-    transport of the oscillator family onto the toy resonant families, and
-    order-by-order agreement of the substitution realization with the
-    star-series conjugation V_lam * f * V_{-lam}."""
-    tol = tolerance or DEFAULT_TOLERANCES["complex_scaling_match"]
-    rec = _Recorder("complex_scaling_match", tol)
+    transport of the oscillator family onto the toy resonant families
+    (n <= 6), and agreement of the substitution realization with the
+    star-series conjugation V_lam * f * V_{-lam} through order 6."""
+    rec = _Recorder("complex_scaling_match", tolerance)
+    order = 6
     sp = VarSpace(1, hbar)
 
     f = QGFunction.from_poly(sp, Poly(2, {(0, 2): gamma / 2, (2, 0): -gamma / 2}))
@@ -495,7 +460,7 @@ def check_complex_scaling(hbar: float = 1.0, gamma: float = 1.0, max_index: int 
                 kind="quadratic_map", lam=f"{lam_sign:+.0f}pi/4")
 
     M = hyperbolic_frame_matrix()
-    for n in range(max_index + 1):
+    for n in range(7):
         W = oscillator_wigner(n, sp)
         for sign, lam in (("+", -math.pi / 4), ("-", math.pi / 4)):
             F = conjugation_by_V(W, lam).substitute_linear(M)
@@ -534,17 +499,18 @@ def check_complex_scaling(hbar: float = 1.0, gamma: float = 1.0, max_index: int 
 
 
 def check_koopman(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
-                  max_index: int = 4, tolerance: float | None = None) -> VerificationReport:
-    """All stationary family members are zero modes of the Koopman operator."""
-    rec = _Recorder("koopman_zero_mode", tolerance or DEFAULT_TOLERANCES["koopman_zero_mode"])
+                  tolerance: float | None = None) -> VerificationReport:
+    """All stationary family members (n <= 4 at N = 1) are zero modes of the
+    Koopman operator."""
+    rec = _Recorder("koopman_zero_mode", tolerance)
     sp1, sp2 = VarSpace(1, hbar), VarSpace(2, hbar)
     H = hamiltonian(ModelId.oscillator(omega), sp1)
-    for n in range(max_index + 1):
+    for n in range(5):
         W = oscillator_wigner(n, sp1)
         rec.add(koopman_apply(H, W).coeff_norm() / W.coeff_norm(), family="W", n=n)
     H = hamiltonian(ModelId.toy(gamma), sp1)
     for sign in "+-":
-        for n in range(max_index + 1):
+        for n in range(5):
             F = toy_resonant(n, sign, sp1)
             rec.add(koopman_apply(H, F).coeff_norm() / F.coeff_norm(),
                     family="F_toy", n=n, sign=sign)
@@ -560,13 +526,13 @@ def check_koopman(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
 
 
 def check_conjugation(hbar: float = 1.0, omega: float = 1.0, gamma: float = 1.0,
-                      max_index: int = 4, seed: int = 0,
-                      tolerance: float | None = None) -> VerificationReport:
-    """Conjugation symmetries: minus families are conjugates of plus families,
-    G_nm = conj(G_mn), and conj(f*g) = conj(g)*conj(f) on random instances."""
-    rec = _Recorder("conjugation_symmetry", tolerance or DEFAULT_TOLERANCES["conjugation_symmetry"])
+                      seed: int = 0, tolerance: float | None = None) -> VerificationReport:
+    """Conjugation symmetries: minus families are conjugates of plus families
+    (toy n <= 4), G_nm = conj(G_mn), and conj(f*g) = conj(g)*conj(f) on
+    random instances."""
+    rec = _Recorder("conjugation_symmetry", tolerance)
     sp1, sp2 = VarSpace(1, hbar), VarSpace(2, hbar)
-    for n in range(max_index + 1):
+    for n in range(5):
         Fm = toy_resonant(n, "-", sp1)
         rec.add((toy_resonant(n, "+", sp1).conjugate() - Fm).coeff_norm() / Fm.coeff_norm(),
                 family="F_toy", n=n, identity="minus_is_conj")
@@ -605,7 +571,7 @@ def check_pair_transform(hbar: float = 1.0, tolerance: float | None = None) -> V
     Gaussian pair gives the oscillator ground state, (constant, delta) gives
     the plus toy ground state, (delta delta, constant) gives the 2-D plus
     ground state, and (x^n, (-i hbar)^n delta^(n)) gives n! (i hbar)^n F^+_n."""
-    rec = _Recorder("pair_transform_match", tolerance or DEFAULT_TOLERANCES["pair_transform_match"])
+    rec = _Recorder("pair_transform_match", tolerance)
     sp1, sp2 = VarSpace(1, hbar), VarSpace(2, hbar)
 
     psi0 = WaveFunction.oscillator_ground(hbar)
@@ -628,11 +594,11 @@ def check_pair_transform(hbar: float = 1.0, tolerance: float | None = None) -> V
     return rec.report()
 
 
-def check_classical_limit(hbars: Sequence[float] = (1.0, 0.1, 0.01),
-                          tolerance: float | None = None) -> VerificationReport:
-    """Ground states concentrate: |pair(F, phi) - phi(0)| decreases along a
-    decreasing hbar ladder, for the oscillator and toy plus ground states."""
-    rec = _Recorder("classical_limit", tolerance or DEFAULT_TOLERANCES["classical_limit"])
+def check_classical_limit(tolerance: float | None = None) -> VerificationReport:
+    """Ground states concentrate: |pair(F, phi) - phi(0)| decreases along the
+    hbar ladder 1, 0.1, 0.01, for the oscillator and toy plus ground states."""
+    rec = _Recorder("classical_limit", tolerance)
+    hbars = (1.0, 0.1, 0.01)
     for label, member in (("W0", lambda s: oscillator_wigner(0, s)),
                           ("F0+", lambda s: toy_resonant(0, "+", s))):
         residuals = []
@@ -659,20 +625,21 @@ def check_classical_limit(hbars: Sequence[float] = (1.0, 0.1, 0.01),
 # driver
 # ---------------------------------------------------------------------------
 
-_CHECK_FUNCTIONS: Dict[str, Callable[..., VerificationReport]] = {
-    "eigen_residual": check_eigen,
-    "star_orthogonality": check_star_orthogonality,
-    "marginal_delta": check_marginals,
-    "normalization": check_normalization,
-    "identity_resolution": check_identity_resolution,
-    "evolution_match": check_evolution,
-    "complex_scaling_match": check_complex_scaling,
-    "koopman_zero_mode": check_koopman,
-    "conjugation_symmetry": check_conjugation,
-    "pair_transform_match": check_pair_transform,
-    "classical_limit": check_classical_limit,
+# name -> (check, default tolerance); the order is the report's
+_CHECKS: Dict[str, Tuple[Callable[..., VerificationReport], float]] = {
+    "eigen_residual": (check_eigen, 1e-10),
+    "star_orthogonality": (check_star_orthogonality, 1e-9),
+    "marginal_delta": (check_marginals, 1e-8),
+    "normalization": (check_normalization, 1e-8),
+    "identity_resolution": (check_identity_resolution, 1e-3),
+    "evolution_match": (check_evolution, 1e-10),
+    "complex_scaling_match": (check_complex_scaling, 1e-10),
+    "koopman_zero_mode": (check_koopman, 1e-12),
+    "conjugation_symmetry": (check_conjugation, 1e-12),
+    "pair_transform_match": (check_pair_transform, 1e-10),
+    "classical_limit": (check_classical_limit, 1e-12),
 }
-_CHECK_PARAMS = {name: inspect.signature(fn).parameters for name, fn in _CHECK_FUNCTIONS.items()}
+CHECK_REGISTRY = tuple(_CHECKS)
 
 
 def run_all(selectors: Iterable[str] | None = None, seed: int = 0,
@@ -686,15 +653,14 @@ def run_all(selectors: Iterable[str] | None = None, seed: int = 0,
     tolerance_overrides = tolerance_overrides or {}
     names = list(selectors) if selectors else list(CHECK_REGISTRY)
     for name in names:
-        if name not in _CHECK_FUNCTIONS:
+        if name not in _CHECKS:
             raise KeyError(f"unknown check '{name}'")
+    values = {"hbar": hbar, "omega": omega, "gamma": gamma, "seed": seed}
     report = VerificationReport()
     for name in names:
-        fn = _CHECK_FUNCTIONS[name]
-        kwargs: Dict[str, object] = {}
-        for key, val in (("hbar", hbar), ("omega", omega), ("gamma", gamma), ("seed", seed)):
-            if key in _CHECK_PARAMS[name]:
-                kwargs[key] = val
+        fn, default_tolerance = _CHECKS[name]
+        params = inspect.signature(fn).parameters
+        kwargs: Dict[str, object] = {k: v for k, v in values.items() if k in params}
         if name in tolerance_overrides:
             kwargs["tolerance"] = tolerance_overrides[name]
         t0 = time.perf_counter()
@@ -702,8 +668,7 @@ def run_all(selectors: Iterable[str] | None = None, seed: int = 0,
             sub = fn(**kwargs)
         except Exception as exc:  # noqa: BLE001 - a failing check must not abort siblings
             sub = VerificationReport([CheckEntry(name, {"error": repr(exc)}, math.inf,
-                                                 tolerance_overrides.get(name,
-                                                                         DEFAULT_TOLERANCES[name]))])
+                                                 tolerance_overrides.get(name, default_tolerance))])
         dt = time.perf_counter() - t0
         for e in sub.entries:
             e.wall_time = dt / max(len(sub.entries), 1)

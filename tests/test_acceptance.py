@@ -27,7 +27,7 @@ def test_criterion_1_eigen_equations():
     """n <= 8 (W, toy F+-), n,m <= 4 (dho F+-, G): two-sided relative
     eigen-residual <= 1e-10; runtime < 10 s."""
     t0 = time.perf_counter()
-    rep = check_eigen(max_index=8, max_index_2d=4, tolerance=1e-10)
+    rep = check_eigen(tolerance=1e-10)
     dt = time.perf_counter() - t0
     eigen_entries = [e for e in rep.entries if "identity" not in e.params]
     worst = max(e.residual for e in eigen_entries)
@@ -40,7 +40,7 @@ def test_criterion_2_star_orthogonality():
     """(2 pi hbar)^N F_n * F_m = delta_nm F_n at 1e-9 for n,m <= 6 (N=1) and
     indices <= 2 (N=2); oracle validation at 10 points <= 1e-6; < 30 s."""
     t0 = time.perf_counter()
-    rep = check_star_orthogonality(max_index=6, max_index_2d=2, tolerance=1e-9)
+    rep = check_star_orthogonality(tolerance=1e-9)
     dt = time.perf_counter() - t0
     orth = [e for e in rep.entries if e.params.get("check") != "oracle_agreement"]
     oracle = [e for e in rep.entries if e.params.get("check") == "oracle_agreement"]
@@ -57,7 +57,7 @@ def test_criterion_3_marginals_and_normalization():
     per marginal; every normalized member integrates to 1 at 1e-8; < 10 s."""
     t0 = time.perf_counter()
     marg = check_marginals(tolerance=1e-8)
-    norm = check_normalization(max_index=8, max_index_2d=2, tolerance=1e-8)
+    norm = check_normalization(tolerance=1e-8)
     dt = time.perf_counter() - t0
     ok = marg.all_passed and norm.all_passed and dt < 10.0
     _report_line(3, "marginals + normalization", ok,
@@ -70,7 +70,7 @@ def test_criterion_4_identity_resolution():
     """Weakly paired partial sums decrease monotonically for N = 2..12 with
     final residual <= 1e-3 of the N=2 residual; < 10 s."""
     t0 = time.perf_counter()
-    rep = check_identity_resolution(n_max=12, tolerance=1e-3)
+    rep = check_identity_resolution(tolerance=1e-3)
     dt = time.perf_counter() - t0
     ok = rep.all_passed and dt < 10.0
     ratios = [e.residual for e in rep.entries if e.params.get("kind") == "final_ratio"]
@@ -83,7 +83,7 @@ def test_criterion_5_time_evolution():
     """Series/closed-form Taylor match through t^8 at 1e-10; i hbar dU = H*U
     order by order; displaced-Gaussian characteristics at 1e-9; < 10 s."""
     t0 = time.perf_counter()
-    rep = check_evolution(order=8, tolerance=1e-10)
+    rep = check_evolution(tolerance=1e-10)
     dt = time.perf_counter() - t0
     ok = rep.all_passed and dt < 10.0
     _report_line(5, "time evolution", ok,
@@ -95,7 +95,7 @@ def test_criterion_6_complex_scaling():
     """Conjugation at lambda = -+pi/4 maps W_n onto F+-_n at 1e-10 for n <= 6;
     generator relations hold perturbatively through order 6 at 1e-10."""
     t0 = time.perf_counter()
-    rep = check_complex_scaling(max_index=6, order=6, tolerance=1e-10)
+    rep = check_complex_scaling(tolerance=1e-10)
     dt = time.perf_counter() - t0
     ok = rep.all_passed
     _report_line(6, "complex scaling", ok,
@@ -119,7 +119,7 @@ def test_criterion_8_structural_invariants():
     """CCRs at 1e-12; conjugation symmetry; Koopman zero modes at 1e-12;
     conj(f*g) = conj(g)*conj(f) at 1e-12 on random instances."""
     t0 = time.perf_counter()
-    eig = check_eigen(max_index=2, max_index_2d=1)
+    eig = check_eigen()
     ccr = [e for e in eig.entries if e.params.get("identity") == "ccr"]
     konj = check_conjugation(tolerance=1e-12)
     koop = check_koopman(tolerance=1e-12)

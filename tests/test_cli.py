@@ -283,6 +283,41 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_missing_star_product_is_a_usage_error():
+    # F0+ * F0- has no closed composition: the composed quadratic form is singular
+    r = run_cli("oracle", "--f", "F0+", "--g", "F0-", "--points", "0.1,0.2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["mqds:ERROR: composed quadratic form is singular"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--hbar", "0"], ["verify", "--omega", "-1"],
+    ["spectrum", "--model", "toy", "--hbar", "-1"], ["spectrum", "--model", "toy", "--hbar", "inf"],
+    SPECTRUM + ["--hbar", "nan"], SPECTRUM + ["--gamma", "abc"], ORACLE + ["--gamma=-inf"],
+])
+def test_physical_parameters_must_be_positive_and_finite(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "expected a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["toy", "dho"])
+def test_spectrum_sign_the_family_lacks_is_a_usage_error(model):
+    r = run_cli("spectrum", "--model", model, "--sign", "none")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["mqds:ERROR: the family has signs '+' and '-', not 'none'"]
+
+
+def test_spectrum_families_without_sign_ignore_it(tmp_path):
+    for argv in (["--model", "oscillator"], ["--model", "dho", "--family", "G"]):
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", *argv, "--sign", "none", "--max-n", "1", "--max-m", "0",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+
 def test_oracle_json_function_input(tmp_path):
     from mqds.algebra import QGFunction, VarSpace
     sp = VarSpace(1, 1.0)

@@ -30,7 +30,6 @@ def test_model_validation():
         ModelId("bogus")
     with pytest.raises(ValueError):
         ModelId.oscillator(-1.0)
-    assert ModelId.dho(2.0, 0.5).alpha == pytest.approx(2.0 - 0.5j)
 
 
 def test_hamiltonian_oscillator(space):
@@ -51,7 +50,7 @@ def test_hamiltonian_dho_ladder_form(space2):
     H = hamiltonian(model, space2)
     lad = ladder_set(model, space2)
     hbar = space2.hbar
-    al = model.alpha
+    al = complex(model.omega, -model.gamma)     # the complex frequency w - i g
     half = QGFunction.constant(space2, 0.5)
     want = (star(lad["a2*"], lad["a1"]) + half).scaled(hbar * al) \
         + (star(lad["a1*"], lad["a2"]) + half).scaled(hbar * np.conj(al))
@@ -74,7 +73,7 @@ def test_lift_toy(space):
 
 
 def test_lift_zero(space):
-    assert lift_dynamics([Poly.zero(1)], space).is_zero()
+    assert lift_dynamics([Poly(1)], space).is_zero()
 
 
 def test_lift_dho_field(space2):
@@ -189,28 +188,37 @@ def test_toy_minus_is_conjugate(space):
 
 def test_spectrum_toy():
     model = ModelId.toy(1.0)
-    e = spectrum(model, 0, "+")
-    assert e.eigenvalue == pytest.approx(0.5j)
-    assert spectrum(model, 2, "-").eigenvalue == pytest.approx(-2.5j)
+    assert spectrum(model, 0, "+") == pytest.approx(0.5j)
+    assert spectrum(model, 2, "-") == pytest.approx(-2.5j)
 
 
 def test_spectrum_dho_f():
     model = ModelId.dho(1.0, 1.0)
-    assert spectrum(model, (0, 0), "+", "F").eigenvalue == pytest.approx(-1j)
+    assert spectrum(model, (0, 0), "+", "F") == pytest.approx(-1j)
     # omega=2, gamma=1: E_01 = 2 - 2i
     m2 = ModelId.dho(2.0, 1.0)
-    assert spectrum(m2, (0, 1), "+", "F").eigenvalue == pytest.approx(2.0 - 2.0j)
-    assert spectrum(m2, (0, 1), "-", "F").eigenvalue == pytest.approx(2.0 + 2.0j)
+    assert spectrum(m2, (0, 1), "+", "F") == pytest.approx(2.0 - 2.0j)
+    assert spectrum(m2, (0, 1), "-", "F") == pytest.approx(2.0 + 2.0j)
 
 
 def test_spectrum_dho_g():
     model = ModelId.dho(1.0, 1.0)
-    assert spectrum(model, (0, 0), family="G").eigenvalue == pytest.approx(1.0)
-    assert spectrum(model, (2, 1), family="G").eigenvalue == pytest.approx(4.0 - 1j)
+    assert spectrum(model, (0, 0), family="G") == pytest.approx(1.0)
+    assert spectrum(model, (2, 1), family="G") == pytest.approx(4.0 - 1j)
 
 
 def test_spectrum_oscillator():
-    assert spectrum(ModelId.oscillator(1.0), 0).eigenvalue == pytest.approx(0.5)
+    assert spectrum(ModelId.oscillator(1.0), 0) == pytest.approx(0.5)
+
+
+def test_spectrum_rejects_a_sign_the_family_lacks():
+    for model, indices in ((ModelId.toy(), 1), (ModelId.dho(), (1, 0))):
+        for sign in ("none", "", "+-"):
+            with pytest.raises(ValueError, match="signs"):
+                spectrum(model, indices, sign)
+    # the oscillator and the G family have no sign to check
+    assert spectrum(ModelId.oscillator(), 1, "none") == 1.5
+    assert spectrum(ModelId.dho(), (1, 0), "none", "G") == 2.0 - 1j
 
 
 def test_spectrum_invalid_index():

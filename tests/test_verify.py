@@ -1,5 +1,6 @@
 """Verification-module contracts: registry, determinism, report semantics."""
 
+import inspect
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from conftest import random_gaussian
 from mqds.algebra import VarSpace
 from mqds.star import star
-from mqds.verify import (CHECK_REGISTRY, DEFAULT_TOLERANCES, CheckEntry,
+from mqds.verify import (_CHECKS, CHECK_REGISTRY, CheckEntry,
                          check_classical_limit, check_conjugation, check_eigen,
                          check_identity_resolution, relative_gap, run_all)
 
@@ -21,7 +22,14 @@ def test_registry_names_fixed():
         "koopman_zero_mode", "conjugation_symmetry", "pair_transform_match",
         "classical_limit",
     )
-    assert set(DEFAULT_TOLERANCES) == set(CHECK_REGISTRY)
+
+
+def test_checks_take_only_what_run_all_passes():
+    # a parameter outside these would have no caller: run_all never sets it
+    for name, (fn, tolerance) in _CHECKS.items():
+        params = set(inspect.signature(fn).parameters)
+        assert params <= {"hbar", "omega", "gamma", "seed", "tolerance"}, name
+        assert "tolerance" in params and tolerance > 0, name
 
 
 def test_entry_pass_semantics():
@@ -31,8 +39,8 @@ def test_entry_pass_semantics():
     assert not e.passed
 
 
-def test_check_eigen_small():
-    rep = check_eigen(max_index=2, max_index_2d=1)
+def test_check_eigen_covers_every_family():
+    rep = check_eigen()
     assert rep.all_passed
     fams = {e.params.get("family") for e in rep.entries if "family" in e.params}
     assert {"W", "F_toy", "F_dho", "G_dho"} <= fams
@@ -82,7 +90,7 @@ def test_failing_check_does_not_abort_siblings(monkeypatch):
     def boom(**kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(V._CHECK_FUNCTIONS, "koopman_zero_mode", boom)
+    monkeypatch.setitem(V._CHECKS, "koopman_zero_mode", (boom, 1e-12))
     rep = run_all(selectors=["koopman_zero_mode", "classical_limit"])
     names = {e.name for e in rep.entries}
     assert "classical_limit" in names
