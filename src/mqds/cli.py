@@ -80,6 +80,8 @@ def _parse_tolerances(spec: str | None) -> Dict[str, float]:
         if name not in CHECK_REGISTRY:
             raise UsageError(f"unknown check '{name}' in tolerance override")
         out[name] = float(value)
+        if not 0 <= out[name] < math.inf:
+            raise UsageError(f"bad tolerance override '{item}' (expected a finite value >= 0)")
     return out
 
 
@@ -160,15 +162,13 @@ def _parse_grid(spec: str, space: VarSpace) -> List[Tuple[str, np.ndarray]]:
     return axes
 
 
-def _builtin_function(model: ModelId, family: str, indices: Sequence[int], sign: str,
-                      space: VarSpace) -> QGFunction:
-    if model.kind == "harmonic_oscillator":
-        return oscillator_wigner(indices[0], space)
-    if model.kind == "damped_toy":
-        return toy_resonant(indices[0], sign, space)
-    if family == "G":
-        return dho_g(indices[0], indices[1], space)
-    return dho_f(indices[0], indices[1], sign, space)
+# (model, family) -> builder(indices, sign, space): the families each model has
+_BUILTINS = {
+    ("harmonic_oscillator", "W"): lambda idx, sign, space: oscillator_wigner(idx[0], space),
+    ("damped_toy", "F"): lambda idx, sign, space: toy_resonant(idx[0], sign, space),
+    ("damped_ho", "F"): lambda idx, sign, space: dho_f(idx[0], idx[1], sign, space),
+    ("damped_ho", "G"): lambda idx, sign, space: dho_g(idx[0], idx[1], space),
+}
 
 
 def _json_with_values(data: Dict, values: np.ndarray) -> str:
@@ -187,9 +187,12 @@ def _json_with_values(data: Dict, values: np.ndarray) -> str:
 
 def cmd_eigenfunction(args) -> int:
     model = _model_from_args(args)
+    build = _BUILTINS.get((model.kind, args.family))
+    if build is None:
+        raise UsageError(f"model '{model.kind}' has no family '{args.family}'")
     space = VarSpace(model.n_dof, args.hbar)
     indices = (args.n,) if model.n_dof == 1 else (args.n, args.m)
-    f = _builtin_function(model, args.family, indices, args.sign, space)
+    f = build(indices, args.sign, space)
     axes = _parse_grid(args.grid, space)
 
     names = space.var_names()

@@ -24,7 +24,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-import operator
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +31,9 @@ import numpy as np
 from .poly import Exponent, Poly, check_packed_degree, merge, pack, packed_bits, unpack
 
 _EIG_TOL = 1e-12
+# Entries per merge of the batched kernels.  One sort over many long tables
+# costs more than a sort per table, so a batch closes at this size.
+_BATCH_ENTRIES = 2048
 
 
 class NonIntegrable(Exception):
@@ -122,36 +124,53 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
     polynomials in w with `bits` per variable, and the caller keeps every
     exponent below 2**bits.  `memo` may be shared across calls with
     identical (Sigma, lin, shift).
+
+    Missing tables are built a total degree at a time (degree L needs L - 1
+    and L - 2), many to a merge, each table's parts in the recursion's order.
     """
     dim = Sigma.shape[0]
-    units = np.left_shift(1, bits * np.arange(lin.shape[1], dtype=np.int64))
-    # mean component i times a table: key shifts and weights of its linear part
-    steps = []
-    for row in lin:
-        nz = np.flatnonzero(row)
-        steps.append((units[nz, None], row[nz, None]))
+    needed = list(map(tuple, needed))
+    # mean component i times a table: (key shift, weight) of each linear term, then the constant
+    steps = [[(1 << (bits * k), row[k]) for k in np.flatnonzero(row).tolist()] + [(0, const)]
+             for row, const in zip(lin, shift)]
     if not memo:
         memo[(0,) * dim] = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
-
-    def get(alpha: Exponent) -> Packed:
-        got = memo.get(alpha)
-        if got is not None:
-            return got
+    levels: Dict[int, list] = {}
+    todo, seen = list(needed), set()
+    while todo:
+        alpha = todo.pop()
+        if alpha in memo or alpha in seen:
+            continue
+        seen.add(alpha)
         i = max(k for k in range(dim) if alpha[k] > 0)
+        levels.setdefault(sum(alpha), []).append((alpha, i))
         beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        keys, coeffs = get(beta)
-        shifts, weights = steps[i]
-        parts_k = [(shifts + keys).ravel(), keys]
-        parts_c = [(weights * coeffs).ravel(), shift[i] * coeffs]
-        for j in range(dim):
-            if beta[j]:
-                g_keys, g_coeffs = get(beta[:j] + (beta[j] - 1,) + beta[j + 1:])
-                parts_k.append(g_keys)
-                parts_c.append((Sigma[i, j] * beta[j]) * g_coeffs)
-        memo[alpha] = val = merge(np.concatenate(parts_k), np.concatenate(parts_c))
-        return val
+        todo += [beta] + [beta[:j] + (beta[j] - 1,) + beta[j + 1:] for j in range(dim) if beta[j]]
 
-    return {a: get(tuple(a)) for a in needed}
+    # a degree-L table has degree <= L in w, so its keys stay below L << top;
+    # a batch's keys carry the table's place in it from bit `width` up
+    top = bits * max(lin.shape[1] - 1, 0)
+    for level, tables in sorted(levels.items()):
+        width = top + level.bit_length()
+        batch, parts, entries = [], [], 0
+        for n, (alpha, i) in enumerate(tables, 1):
+            base = len(batch) << width
+            beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            parts += [(*memo[beta], base + unit, weight) for unit, weight in steps[i]]
+            parts += [(*memo[beta[:j] + (beta[j] - 1,) + beta[j + 1:]], base, Sigma[i, j] * beta[j])
+                      for j in range(dim) if beta[j]]
+            entries += len(memo[beta][0]) * (len(steps[i]) + dim)
+            batch.append(alpha)
+            if entries >= _BATCH_ENTRIES or len(batch) >> (63 - width) or n == len(tables):
+                keys, coeffs, offsets, weights = zip(*parts)
+                sizes = [len(k) for k in keys]
+                keys, coeffs = merge(np.concatenate(keys) + np.repeat(offsets, sizes),
+                                     np.repeat(weights, sizes) * np.concatenate(coeffs))
+                bounds = [0, *np.searchsorted(keys, np.arange(1, len(batch)) << width).tolist(), len(keys)]
+                keys &= (1 << width) - 1
+                memo.update((a, (keys[lo:hi], coeffs[lo:hi])) for a, lo, hi in zip(batch, bounds, bounds[1:]))
+                batch, parts, entries = [], [], 0
+    return {a: memo[a] for a in needed}
 
 
 def integrate_poly_exp(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly) -> complex:
@@ -289,37 +308,47 @@ class CompositionContext:
                              np.concatenate([c2 * mv[delta][1] for delta, c2 in P2.terms.items()]))
         # keys are sorted, and u sits in the high fields: each kappa is one run
         z_bits = bits * d
-        kappas, starts = np.unique(keys >> z_bits, return_index=True)
-        bounds = np.append(starts, len(keys))
-        z_keys = keys & ((1 << z_bits) - 1)
-
-        gammas, c1s = list(P1.terms), list(P1.terms.values())
+        kappas, starts, runs = np.unique(keys >> z_bits, return_index=True, return_counts=True)
         kappa_exps = unpack(kappas, d, bits)
-        fits = (np.array(gammas)[None, :, :] >= kappa_exps[:, None, :]).all(axis=2)
-        groups = []
-        for kappa, lo, hi, row in zip(kappa_exps.tolist(), bounds[:-1], bounds[1:], fits):
-            terms = []
-            for j in np.flatnonzero(row).tolist():
-                w = c1s[j]
-                for g, k in zip(gammas[j], kappa):
-                    w *= math.perm(g, k)
-                terms.append((tuple(map(operator.sub, gammas[j], kappa)), w))
-            if terms:
-                groups.append((lo, hi, terms))
-        needed = {e for _, _, terms in groups for e, _ in terms}
-        mu = moments_poly(self.G_uu, *self._u_form, bits, needed, self._mu_memo)
-
-        out_keys, out_coeffs = [], []
-        for lo, hi, terms in groups:
-            psi_keys, psi_coeffs = merge(np.concatenate([mu[e][0] for e, _ in terms]),
-                                         np.concatenate([w * mu[e][1] for e, w in terms]))
-            k, c = merge((z_keys[lo:hi, None] + psi_keys[None, :]).ravel(),
-                         (coeffs[lo:hi, None] * psi_coeffs[None, :]).ravel())
-            out_keys.append(k)
-            out_coeffs.append(c)
-        if not out_keys:
+        gammas = np.array(list(P1.terms), dtype=np.int64)
+        ki, gi = np.nonzero((gammas[None, :, :] >= kappa_exps[:, None, :]).all(axis=2))
+        gam, kap = gammas[gi], kappa_exps[ki]
+        # c1 gamma!/(gamma-kappa)!, multiplied axis by axis as c1 * perm(g0, k0) * perm(g1, k1) ...
+        perms = np.frompyfunc(math.perm, 2, 1)(*np.indices((gammas.max() + 1,) * 2)).astype(float)
+        weights = np.array(list(P1.terms.values()), dtype=complex)[gi]
+        for axis in range(d):
+            weights = weights * perms[gam[:, axis], kap[:, axis]]
+        uniq, which = np.unique(pack(gam - kap, bits), return_inverse=True)
+        exps = list(map(tuple, unpack(uniq, d, bits).tolist()))
+        mu = moments_poly(self.G_uu, *self._u_form, bits, exps, self._mu_memo)
+        if not exps:
             return Poly(d)
-        return Poly.from_packed(d, bits, *merge(np.concatenate(out_keys), np.concatenate(out_coeffs)))
+
+        # psi_kappa, then phi_kappa psi_kappa, one merge each per run of whole kappas cut
+        # about every _BATCH_ENTRIES products; keys hold kappa (2 kappa) above the z fields
+        sizes = np.array([len(mu[e][0]) for e in exps])
+        firsts, n = (np.cumsum(sizes) - sizes)[which], sizes[which]
+        u_keys, u_coeffs = (np.concatenate([mu[e][t] for e in exps]) for t in (0, 1))
+        pair_at = np.searchsorted(ki, np.arange(len(kappas) + 1))
+        crossed = np.diff(np.append(0, np.cumsum(n * runs[ki]))[pair_at] // _BATCH_ENTRIES)[:-1] > 0
+        cuts, bounds = [0, *(np.flatnonzero(crossed) + 1).tolist(), len(kappas)], np.append(starts, len(keys))
+        out = []
+        for r0, r1 in zip(cuts, cuts[1:]):
+            (p0, p1), (a0, a1) = pair_at[[r0, r1]], bounds[[r0, r1]]
+            a, at = _runs(firsts[p0:p1], n[p0:p1])
+            psi_keys, psi_coeffs = merge((kappas[ki[p0:p1]] << z_bits)[a] + u_keys[at],
+                                         weights[p0:p1][a] * u_coeffs[at])
+            lo, hi = np.searchsorted(psi_keys, np.stack([kappas[r0:r1], kappas[r0:r1] + 1]) << z_bits)
+            ia, ib = _runs(np.repeat(lo, runs[r0:r1]), np.repeat(hi - lo, runs[r0:r1]))
+            out.append(merge(keys[a0:a1][ia] + psi_keys[ib], coeffs[a0:a1][ia] * psi_coeffs[ib]))
+        return Poly.from_packed(d, bits, *merge(np.concatenate([k for k, _ in out]) & ((1 << z_bits) - 1),
+                                                np.concatenate([c for _, c in out])))
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(a, b) for every b in [starts[a], starts[a] + counts[a]), in order."""
+    a = np.repeat(np.arange(len(counts)), counts)
+    return a, np.arange(len(a)) + (starts - np.cumsum(counts) + counts)[a]
 
 
 _CTX_CACHE: Dict[bytes, CompositionContext] = {}

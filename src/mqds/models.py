@@ -264,7 +264,7 @@ def dho_f(n: int, m: int, sign: str, space: VarSpace) -> QGFunction:
         raise ValueError("supported index range is 0 <= n, m <= 6")
     if space.n_dof != 2:
         raise ValueError("damped-oscillator family lives on N=2")
-    if sign == "-":
+    if _sign(sign) < 0:
         return dho_f(n, m, "+", space).conjugate()
     hbar = space.hbar
     A = np.zeros((4, 4), dtype=complex)

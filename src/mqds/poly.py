@@ -280,9 +280,12 @@ def packed_diff(keys: np.ndarray, coeffs: np.ndarray, index: int, bits: int,
     return merge(np.concatenate(parts_k), np.concatenate(parts_c))
 
 
-def _unique(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(keys, return_index=True, return_inverse=True), without its
-    per-call overhead, which dominates on the short arrays of the recursions."""
+def merge(keys: np.ndarray, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum the coefficients of equal keys; sorted by key, exact zeros dropped.
+
+    bincount adds each key's coefficients in input order.  The stable sort
+    and bincount stand in for np.unique, whose per-call overhead dominates
+    on short arrays."""
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     starts = np.empty(len(keys), dtype=bool)
@@ -290,12 +293,7 @@ def _unique(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     inv = np.empty(len(keys), dtype=np.intp)
     inv[order] = np.cumsum(starts) - 1
-    return ordered[starts], order[starts], inv
-
-
-def merge(keys: np.ndarray, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum the coefficients of equal keys; sorted by key, exact zeros dropped."""
-    uniq, _, inv = _unique(keys)
+    uniq = ordered[starts]
     out = np.empty(len(uniq), dtype=complex)
     out.real = np.bincount(inv, coeffs.real, len(uniq))
     out.imag = np.bincount(inv, coeffs.imag, len(uniq))

@@ -104,7 +104,7 @@ def _json_value(v):
 class _Recorder:
     def __init__(self, name: str, tolerance: float | None):
         self.name = name
-        self.tolerance = tolerance or _CHECKS[name][1]
+        self.tolerance = _CHECKS[name][1] if tolerance is None else tolerance
         self.entries: List[CheckEntry] = []
 
     def add(self, residual: float, tolerance: float | None = None, **params) -> None:

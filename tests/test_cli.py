@@ -339,3 +339,39 @@ def test_io_error_exit_code():
 def test_usage_error_without_subcommand():
     r = run_cli()
     assert r.returncode == 2
+
+
+def _verify_passes(tmp_path, override):
+    out = tmp_path / f"report-{override}.json"
+    main(["verify", "--suite", "koopman_zero_mode", "--tolerance", f"koopman_zero_mode={override}",
+          "--out", str(out)])
+    return [(c["params"], c["passed"]) for c in json.loads(out.read_text())["checks"]]
+
+
+def test_verify_zero_tolerance_override_is_used(tmp_path):
+    # a zero override is a tolerance like any other, not a request for the default
+    zero = _verify_passes(tmp_path, "0")
+    assert zero == _verify_passes(tmp_path, "1e-300")
+    assert not all(passed for _, passed in zero)
+    assert all(passed for _, passed in _verify_passes(tmp_path, "1e-9"))
+
+
+@pytest.mark.parametrize("value", ["-1e-9", "inf", "-inf", "nan"])
+def test_tolerance_override_must_be_finite_and_non_negative(value, tmp_path):
+    r = run_cli("verify", "--suite", "classical_limit", "--tolerance", f"classical_limit={value}",
+                "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert not (tmp_path / "out").exists()
+    assert r.stderr.splitlines() == [f"mqds:ERROR: bad tolerance override 'classical_limit={value}' "
+                                     "(expected a finite value >= 0)"]
+
+
+@pytest.mark.parametrize("model, family", [("oscillator", "F"), ("oscillator", "G"), ("toy", "W"),
+                                           ("damped_toy", "G"), ("dho", "W")])
+def test_eigenfunction_family_the_model_lacks_is_a_usage_error(model, family, tmp_path):
+    r = run_cli("eigenfunction", "--model", model, "--family", family, "--n", "1",
+                "--grid", "x1=-1:1:3", "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert not (tmp_path / "out").exists()
+    kind = {"oscillator": "harmonic_oscillator", "toy": "damped_toy", "dho": "damped_ho"}.get(model, model)
+    assert r.stderr.splitlines() == [f"mqds:ERROR: model '{kind}' has no family '{family}'"]

@@ -384,3 +384,10 @@ def test_transform_nonstationary_pair(space):
     # the transform still lands in the class and is polynomial x delta-free
     T = wigner_pair_transform(WaveFunction.toy_plus(1), WaveFunction.toy_minus(0, space.hbar), space)
     assert not T.is_zero()
+
+
+def test_dho_f_rejects_a_sign_the_family_lacks(space2):
+    # any sign but "-" used to build the + family
+    for sign in ("none", "", "+-"):
+        with pytest.raises(ValueError, match="signs"):
+            dho_f(1, 0, sign, space2)

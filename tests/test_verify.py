@@ -84,6 +84,12 @@ def test_tolerance_override_forces_failures():
     assert data["summary"]["failed"] == rep.n_failed
 
 
+def test_zero_tolerance_override_is_kept():
+    rep = run_all(selectors=["koopman_zero_mode"], tolerance_overrides={"koopman_zero_mode": 0.0})
+    assert {e.tolerance for e in rep.entries} == {0.0}
+    assert [e.passed for e in rep.entries] == [e.residual == 0 for e in rep.entries]
+
+
 def test_failing_check_does_not_abort_siblings(monkeypatch):
     import mqds.verify as V
 
