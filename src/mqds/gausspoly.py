@@ -23,16 +23,17 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .poly import Exponent, Poly, check_packed_degree, merge, pack, packed_bits, unpack
 
 _EIG_TOL = 1e-12
-# Entries per merge of the batched kernels.  One sort over many long tables
-# costs more than a sort per table, so a batch closes at this size.
+# Products per merge of the composition's kappa terms: one sort over many
+# long runs costs more than a sort per run, so a batch closes at this size.
 _BATCH_ENTRIES = 2048
 
 
@@ -86,7 +87,8 @@ def moments_scalar(Sigma: np.ndarray, mu: np.ndarray, needed: Sequence[Exponent]
     The recursion of `moments_poly` with no variables kept, on Python
     scalars: the one integral of `integrate_poly_exp` needs short tables, on
     which numpy's per-call overhead would make the packed recursion several
-    times slower.
+    times slower.  As there, a term whose weight mu_i or Sigma_ij is exactly
+    zero is skipped, with the moment it would read.
     """
     dim = len(mu)
     memo: Dict[Exponent, complex] = {(0,) * dim: 1.0 + 0j}
@@ -99,9 +101,9 @@ def moments_scalar(Sigma: np.ndarray, mu: np.ndarray, needed: Sequence[Exponent]
         beta = list(alpha)
         beta[i] -= 1
         beta_t = tuple(beta)
-        val = mu[i] * get(beta_t)
+        val = mu[i] * get(beta_t) if mu[i] != 0 else 0j
         for j in range(dim):
-            if beta_t[j]:
+            if beta_t[j] and Sigma[i, j] != 0:
                 gamma = list(beta_t)
                 gamma[j] -= 1
                 val += Sigma[i, j] * beta_t[j] * get(tuple(gamma))
@@ -111,66 +113,185 @@ def moments_scalar(Sigma: np.ndarray, mu: np.ndarray, needed: Sequence[Exponent]
     return {a: get(tuple(a)) for a in needed}
 
 
-Packed = Tuple[np.ndarray, np.ndarray]      # (int64 keys, complex coeffs); see poly
+class MomentMemo:
+    """The moment tables `moments_poly` has built for one (Sigma, lin, shift).
+
+    A table is keyed by its exponent alpha packed into an int,
+    `packed_bits(dim)` bits per variable.  The entries of every table sit in
+    the flat arrays `keys` and `coeffs`, of which the first `used` are
+    filled; the rows of `index` are the tables' packed alphas, sorted, and
+    each one's start and size there.  `parts` holds the recursion's slot
+    masks and weights (see `_slots`), derived from (Sigma, lin, shift) on
+    first use, when E[z^0] = 1 is stored.
+    """
+
+    def __init__(self) -> None:
+        self.keys = np.zeros(256, dtype=np.int64)
+        self.coeffs = np.ones(256, dtype=complex)
+        self.used = 0
+        self.index = np.zeros((3, 0), dtype=np.int64)
+        self.parts: Tuple[np.ndarray, ...] | None = None
+
+    def __len__(self) -> int:
+        return self.index.shape[1]
+
+    def add(self, alphas: np.ndarray, keys: np.ndarray, coeffs: np.ndarray, bounds: np.ndarray) -> None:
+        """Store the tables `alphas`: table n holds entries bounds[n] to bounds[n + 1]."""
+        at, end = self.used, self.used + len(keys)
+        if end > len(self.keys):
+            # grown by doubling, so each entry is copied O(1) times
+            size = max(2 * len(self.keys), end)
+            grown = np.empty(size, dtype=np.int64), np.empty(size, dtype=complex)
+            grown[0][:at], grown[1][:at] = self.keys[:at], self.coeffs[:at]
+            self.keys, self.coeffs = grown
+        self.keys[at:end] = keys
+        self.coeffs[at:end] = coeffs
+        self.used = end
+        index = np.empty((3, len(alphas)), dtype=np.int64)
+        index[0], index[1], index[2] = alphas, bounds[:-1] + at, bounds[1:] - bounds[:-1]
+        index = np.concatenate((self.index, index), axis=1)
+        self.index = index[:, index[0].argsort()]
+
+    def find(self, alphas: np.ndarray) -> np.ndarray:
+        """Starts and sizes of the stored tables `alphas`, as two rows."""
+        return self.index[1:, self.index[0].searchsorted(alphas)]
+
+
+# the index of a memo holding only E[z^0] = 1, at entry 0
+_FIRST_TABLE = np.array([[0], [0], [1]], dtype=np.int64)
+_FIRST_TABLE.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
+def _slots(dim: int, nw: int, bits: int) -> Tuple[np.ndarray, ...]:
+    """The slots of the moment recursion, for exponents over `dim` variables
+    and tables over `nw` variables of `bits` bits.
+
+    E[z^(beta + e_i)] = mu_i E[z^beta] + sum_j Sigma_ij beta_j E[z^(beta - e_j)],
+    with mu_i = lin[i] . w + shift[i], has a part per slot, in the order of
+    the table-by-table recursion: the nw linear terms of mu_i (key offset
+    1 << bits k), its constant, then Sigma_ij for each j.  Returns the units
+    of alpha's fields; per slot, the unit a part takes from beta to find the
+    table it reads, the shift and mask that give beta_j (0 on a mean slot),
+    1 on a mean slot, and the key offset; and per last index i of alpha and
+    slot, whether the slot can apply (a Sigma slot needs j <= i: beta_j = 0
+    beyond i).
+    """
+    abits = packed_bits(dim)
+    fields = abits * np.arange(dim, dtype=np.int64)
+    units = np.left_shift(1, fields)
+    mean = np.zeros(nw + 1, dtype=np.int64)
+    slot_units = np.concatenate((mean, units))
+    shifts = np.concatenate((mean, fields))
+    masks = np.concatenate((mean, np.full(dim, (1 << abits) - 1)))
+    ones = np.concatenate((mean + 1, 0 * fields))
+    offsets = np.concatenate((np.left_shift(1, bits * np.arange(nw, dtype=np.int64)), 0 * units, [0]))
+    applies = np.ones((dim, nw + 1 + dim), dtype=bool)
+    applies[:, nw + 1:] = np.tri(dim, dtype=bool)
+    slots = units, slot_units, shifts, masks, ones, offsets, applies
+    for array in slots:
+        array.flags.writeable = False               # shared by every caller of the cache
+    return slots
 
 
 def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: int,
-                 needed: Iterable[Exponent], memo: Dict[Exponent, Packed]) -> Dict[Exponent, Packed]:
+                 needed: np.ndarray, memo: MomentMemo) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moment tables E[z^alpha] whose mean is affine in other variables w.
 
     Mean component i is lin[i] . w + shift[i] over the lin.shape[1]
     variables w, as when a Gaussian block is integrated out and the
     completed-square mean depends on the variables kept.  Tables are packed
     polynomials in w with `bits` per variable, and the caller keeps every
-    exponent below 2**bits.  `memo` may be shared across calls with
+    exponent below 2**bits.  `needed` holds exponents alpha as rows; the
+    result is (keys, coeffs, sizes): their tables concatenated in that
+    order, and each one's size.  `memo` may be shared across calls with
     identical (Sigma, lin, shift).
 
-    Missing tables are built a total degree at a time (degree L needs L - 1
-    and L - 2), many to a merge, each table's parts in the recursion's order.
+    A part of the recursion whose weight is exactly zero adds nothing, so
+    it is skipped, and so is the table it would read.  The missing tables
+    are found a total degree at a time from the top (degree L reads L - 1
+    for its mean parts and L - 2 for its Sigma parts), then built from the
+    bottom: a degree's parts go through one gather and one merge, keyed by
+    (table, key), in the order of the table-by-table recursion.
     """
-    dim = Sigma.shape[0]
-    needed = list(map(tuple, needed))
-    # mean component i times a table: (key shift, weight) of each linear term, then the constant
-    steps = [[(1 << (bits * k), row[k]) for k in np.flatnonzero(row).tolist()] + [(0, const)]
-             for row, const in zip(lin, shift)]
-    if not memo:
-        memo[(0,) * dim] = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
-    levels: Dict[int, list] = {}
-    todo, seen = list(needed), set()
-    while todo:
-        alpha = todo.pop()
-        if alpha in memo or alpha in seen:
+    dim, nw = lin.shape
+    units, slot_units, shifts, slot_masks, slot_ones, offsets, applies = _slots(dim, nw, bits)
+    needed = np.array(needed, dtype=np.int64).reshape(-1, dim)
+    degrees = needed.sum(axis=1)
+    counts = np.bincount(degrees).tolist()
+    check_packed_degree(len(counts) - 1, packed_bits(dim), dim)
+    alphas = needed @ units
+    if memo.parts is None:
+        # per last index i, a slot's factor ((beta >> shift) & mask) | one is 1
+        # on a mean slot, beta_j on a Sigma slot, and 0 where the slot cannot
+        # apply or its weight is exactly zero
+        weights = np.concatenate((lin, shift[:, None], Sigma), axis=1).astype(complex)
+        live = (weights != 0) & applies
+        memo.parts = slot_masks * live, slot_ones * live, weights
+        memo.used, memo.index = 1, _FIRST_TABLE
+    masks, ones, weights = memo.parts
+
+    # the walk: per degree from the top, the tables to build and their parts
+    want: Dict[int, list] = {}
+    plan = []
+    for level in range(len(counts) - 1, 0, -1):
+        cand = want.pop(level, [])
+        if counts[level]:
+            cand.append(alphas[degrees == level])
+        if not cand:
             continue
-        seen.add(alpha)
-        i = max(k for k in range(dim) if alpha[k] > 0)
-        levels.setdefault(sum(alpha), []).append((alpha, i))
-        beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        todo += [beta] + [beta[:j] + (beta[j] - 1,) + beta[j + 1:] for j in range(dim) if beta[j]]
+        cand = np.unique(np.concatenate(cand))
+        have = memo.index[0]
+        cand = cand[have.take(have.searchsorted(cand), mode="clip") != cand]
+        if not len(cand):
+            continue
+        last = units.searchsorted(cand, "right") - 1
+        beta = cand - units[last]
+        factors = ((beta[:, None] >> shifts) & masks[last]) | ones[last]
+        t, slot = factors.nonzero()
+        src = beta[t] - slot_units[slot]
+        deep = slot > nw
+        plan.append((level, cand, t, weights[last[t], slot] * factors[t, slot], offsets[slot], src))
+        want.setdefault(level - 1, []).append(src[~deep])
+        want.setdefault(level - 2, []).append(src[deep])
 
     # a degree-L table has degree <= L in w, so its keys stay below L << top;
-    # a batch's keys carry the table's place in it from bit `width` up
-    top = bits * max(lin.shape[1] - 1, 0)
-    for level, tables in sorted(levels.items()):
+    # a merge's keys carry the table's place in it from bit `width` up, and a
+    # merge holds `cap` tables
+    top = bits * max(nw - 1, 0)
+    for level, cand, t, part_weights, part_offsets, src in reversed(plan):
+        starts, sizes = memo.find(src)
         width = top + level.bit_length()
-        batch, parts, entries = [], [], 0
-        for n, (alpha, i) in enumerate(tables, 1):
-            base = len(batch) << width
-            beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            parts += [(*memo[beta], base + unit, weight) for unit, weight in steps[i]]
-            parts += [(*memo[beta[:j] + (beta[j] - 1,) + beta[j + 1:]], base, Sigma[i, j] * beta[j])
-                      for j in range(dim) if beta[j]]
-            entries += len(memo[beta][0]) * (len(steps[i]) + dim)
-            batch.append(alpha)
-            if entries >= _BATCH_ENTRIES or len(batch) >> (63 - width) or n == len(tables):
-                keys, coeffs, offsets, weights = zip(*parts)
-                sizes = [len(k) for k in keys]
-                keys, coeffs = merge(np.concatenate(keys) + np.repeat(offsets, sizes),
-                                     np.repeat(weights, sizes) * np.concatenate(coeffs))
-                bounds = [0, *np.searchsorted(keys, np.arange(1, len(batch)) << width).tolist(), len(keys)]
-                keys &= (1 << width) - 1
-                memo.update((a, (keys[lo:hi], coeffs[lo:hi])) for a, lo, hi in zip(batch, bounds, bounds[1:]))
-                batch, parts, entries = [], [], 0
-    return {a: memo[a] for a in needed}
+        cap = (1 << (63 - width)) - 1
+        at = _entries(starts, sizes)
+        keys = memo.keys[at] + np.repeat(((t % cap) << width) + part_offsets, sizes)
+        coeffs = np.repeat(part_weights, sizes) * memo.coeffs[at]
+        firsts = [*range(0, len(cand), cap), len(cand)]
+        edges = np.concatenate(([0], sizes.cumsum()))[t.searchsorted(firsts)].tolist()
+        for lo, hi, f0, f1 in zip(edges, edges[1:], firsts, firsts[1:]):
+            batch_keys, batch_coeffs = merge(keys[lo:hi], coeffs[lo:hi])
+            tables = cand[f0:f1]
+            bounds = batch_keys.searchsorted(np.arange(f1 - f0 + 1) << width)
+            batch_keys &= (1 << width) - 1
+            memo.add(tables, batch_keys, batch_coeffs, bounds)
+
+    starts, sizes = memo.find(alphas)
+    at = _entries(starts, sizes)
+    return memo.keys[at], memo.coeffs[at], sizes
+
+
+@functools.lru_cache(maxsize=None)
+def _falling_factorials(size: int) -> np.ndarray:
+    """perms[g, k] = g!/(g-k)! for g, k < size, as floats (read-only)."""
+    perms = np.frompyfunc(math.perm, 2, 1)(*np.indices((size, size))).astype(float)
+    perms.flags.writeable = False
+    return perms
+
+
+def _entries(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of the runs [starts[n], starts[n] + sizes[n]), in order."""
+    ends = sizes.cumsum()
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def integrate_poly_exp(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly) -> complex:
@@ -223,11 +344,10 @@ def integrate_partial(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
     bits = packed_bits(max(nk, 1))
     check_packed_degree(poly.degree(), bits, nk)
     exps = np.array(list(poly.terms), dtype=np.int64)
-    outs = list(map(tuple, exps[:, out_idx].tolist()))
-    mom = moments_poly(M_inv, -M_inv @ A_sk, M_inv @ b_s, bits, outs, {})
-    sizes = [len(mom[e][0]) for e in outs]
-    keys = np.repeat(pack(exps[:, keep_idx], bits), sizes) + np.concatenate([mom[e][0] for e in outs])
-    coeffs = np.repeat(list(poly.terms.values()), sizes) * np.concatenate([mom[e][1] for e in outs])
+    mom_keys, mom_coeffs, sizes = moments_poly(M_inv, -M_inv @ A_sk, M_inv @ b_s, bits,
+                                               exps[:, out_idx], MomentMemo())
+    keys = np.repeat(pack(exps[:, keep_idx], bits), sizes) + mom_keys
+    coeffs = np.repeat(list(poly.terms.values()), sizes) * mom_coeffs
     new_poly = Poly.from_packed(nk, bits, *merge(keys, coeffs))
     return A_new, b_new, complex(c_new), new_poly.scaled(pref)
 
@@ -286,8 +406,8 @@ class CompositionContext:
         self.G_vv = G[d:, d:]
         self._u_form = (T[:d, :], s_vec[:d])
         self._v_form = (np.concatenate([T[d:, :], G[d:, :d]], axis=1), s_vec[d:])
-        self._mu_memo: Dict[Exponent, Packed] = {}
-        self._mv_memo: Dict[Exponent, Packed] = {}
+        self._mu_memo = MomentMemo()
+        self._mv_memo = MomentMemo()
 
     def compose(self, P1: Poly, P2: Poly) -> Poly:
         """Prefactor polynomial of (P1 e^{q1}) star (P2 e^{q2}), without `pref`.
@@ -303,52 +423,54 @@ class CompositionContext:
         if P1.is_zero() or P2.is_zero():
             return Poly(d)
         check_packed_degree(P1.degree() + P2.degree(), bits, 2 * d)
-        mv = moments_poly(self.G_vv, *self._v_form, bits, P2.terms, self._mv_memo)
-        keys, coeffs = merge(np.concatenate([mv[delta][0] for delta in P2.terms]),
-                             np.concatenate([c2 * mv[delta][1] for delta, c2 in P2.terms.items()]))
+        mv_keys, mv_coeffs, sizes = moments_poly(self.G_vv, *self._v_form, bits, list(P2.terms), self._mv_memo)
+        keys, coeffs = merge(mv_keys, np.repeat(list(P2.terms.values()), sizes) * mv_coeffs)
         # keys are sorted, and u sits in the high fields: each kappa is one run
         z_bits = bits * d
-        kappas, starts, runs = np.unique(keys >> z_bits, return_index=True, return_counts=True)
+        high = keys >> z_bits
+        change = np.empty(len(high), dtype=bool)
+        change[:1] = True
+        np.not_equal(high[1:], high[:-1], out=change[1:])
+        starts = change.nonzero()[0]
+        kappas, bounds = high[starts], np.append(starts, len(keys))
+        runs = bounds[1:] - starts
         kappa_exps = unpack(kappas, d, bits)
         gammas = np.array(list(P1.terms), dtype=np.int64)
-        ki, gi = np.nonzero((gammas[None, :, :] >= kappa_exps[:, None, :]).all(axis=2))
+        fits = np.ones((len(kappas), len(gammas)), dtype=bool)
+        for axis in range(d):
+            fits &= kappa_exps[:, axis, None] <= gammas[:, axis]
+        ki, gi = fits.nonzero()
         gam, kap = gammas[gi], kappa_exps[ki]
         # c1 gamma!/(gamma-kappa)!, multiplied axis by axis as c1 * perm(g0, k0) * perm(g1, k1) ...
-        perms = np.frompyfunc(math.perm, 2, 1)(*np.indices((gammas.max() + 1,) * 2)).astype(float)
+        perms = _falling_factorials(int(gammas.max()) + 1)
         weights = np.array(list(P1.terms.values()), dtype=complex)[gi]
         for axis in range(d):
             weights = weights * perms[gam[:, axis], kap[:, axis]]
-        uniq, which = np.unique(pack(gam - kap, bits), return_inverse=True)
-        exps = list(map(tuple, unpack(uniq, d, bits).tolist()))
-        mu = moments_poly(self.G_uu, *self._u_form, bits, exps, self._mu_memo)
-        if not exps:
+        u_keys, u_coeffs, n = moments_poly(self.G_uu, *self._u_form, bits, gam - kap, self._mu_memo)
+        if not len(gi):
             return Poly(d)
 
         # psi_kappa, then phi_kappa psi_kappa, one merge each per run of whole kappas cut
-        # about every _BATCH_ENTRIES products; keys hold kappa (2 kappa) above the z fields
-        sizes = np.array([len(mu[e][0]) for e in exps])
-        firsts, n = (np.cumsum(sizes) - sizes)[which], sizes[which]
-        u_keys, u_coeffs = (np.concatenate([mu[e][t] for e in exps]) for t in (0, 1))
-        pair_at = np.searchsorted(ki, np.arange(len(kappas) + 1))
-        crossed = np.diff(np.append(0, np.cumsum(n * runs[ki]))[pair_at] // _BATCH_ENTRIES)[:-1] > 0
-        cuts, bounds = [0, *(np.flatnonzero(crossed) + 1).tolist(), len(kappas)], np.append(starts, len(keys))
+        # about every _BATCH_ENTRIES products; keys hold kappa (2 kappa) above the z fields.
+        # The u-tables come in pair order, so a run's pairs read one slice of them.
+        pair_at = ki.searchsorted(np.arange(len(kappas) + 1))
+        entry_at = np.concatenate(([0], n.cumsum()))[pair_at].tolist()
+        products = np.concatenate(([0], (n * runs[ki]).cumsum()))[pair_at]
+        crossed = np.diff(products // _BATCH_ENTRIES)[:-1] > 0
+        cuts = [0, *(np.flatnonzero(crossed) + 1).tolist(), len(kappas)]
+        pair_at, bounds = pair_at.tolist(), bounds.tolist()
         out = []
         for r0, r1 in zip(cuts, cuts[1:]):
-            (p0, p1), (a0, a1) = pair_at[[r0, r1]], bounds[[r0, r1]]
-            a, at = _runs(firsts[p0:p1], n[p0:p1])
-            psi_keys, psi_coeffs = merge((kappas[ki[p0:p1]] << z_bits)[a] + u_keys[at],
-                                         weights[p0:p1][a] * u_coeffs[at])
-            lo, hi = np.searchsorted(psi_keys, np.stack([kappas[r0:r1], kappas[r0:r1] + 1]) << z_bits)
-            ia, ib = _runs(np.repeat(lo, runs[r0:r1]), np.repeat(hi - lo, runs[r0:r1]))
+            p0, p1, c0, c1, a0, a1 = pair_at[r0], pair_at[r1], entry_at[r0], entry_at[r1], bounds[r0], bounds[r1]
+            a = np.repeat(np.arange(p1 - p0), n[p0:p1])
+            psi_keys, psi_coeffs = merge((kappas[ki[p0:p1]] << z_bits)[a] + u_keys[c0:c1],
+                                         weights[p0:p1][a] * u_coeffs[c0:c1])
+            lo, hi = psi_keys.searchsorted(np.stack([kappas[r0:r1], kappas[r0:r1] + 1]) << z_bits)
+            counts = np.repeat(hi - lo, runs[r0:r1])
+            ia, ib = np.repeat(np.arange(len(counts)), counts), _entries(np.repeat(lo, runs[r0:r1]), counts)
             out.append(merge(keys[a0:a1][ia] + psi_keys[ib], coeffs[a0:a1][ia] * psi_coeffs[ib]))
         return Poly.from_packed(d, bits, *merge(np.concatenate([k for k, _ in out]) & ((1 << z_bits) - 1),
                                                 np.concatenate([c for _, c in out])))
-
-
-def _runs(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(a, b) for every b in [starts[a], starts[a] + counts[a]), in order."""
-    a = np.repeat(np.arange(len(counts)), counts)
-    return a, np.arange(len(a)) + (starts - np.cumsum(counts) + counts)[a]
 
 
 _CTX_CACHE: Dict[bytes, CompositionContext] = {}

@@ -283,16 +283,17 @@ def packed_diff(keys: np.ndarray, coeffs: np.ndarray, index: int, bits: int,
 def merge(keys: np.ndarray, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sum the coefficients of equal keys; sorted by key, exact zeros dropped.
 
-    bincount adds each key's coefficients in input order.  The stable sort
-    and bincount stand in for np.unique, whose per-call overhead dominates
-    on short arrays."""
-    order = np.argsort(keys, kind="stable")
+    bincount adds each key's coefficients in input order, whatever order the
+    sort leaves equal keys in, so the sort need not be stable.  The sort and
+    bincount stand in for np.unique, whose per-call overhead dominates on
+    short arrays."""
+    order = keys.argsort()
     ordered = keys[order]
     starts = np.empty(len(keys), dtype=bool)
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     inv = np.empty(len(keys), dtype=np.intp)
-    inv[order] = np.cumsum(starts) - 1
+    inv[order] = starts.cumsum() - 1
     uniq = ordered[starts]
     out = np.empty(len(uniq), dtype=complex)
     out.real = np.bincount(inv, coeffs.real, len(uniq))

@@ -369,31 +369,33 @@ def gauss_legendre(points: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _twisted_kernel(arr: np.ndarray, nodes: np.ndarray, k: float, s: float, t: float) -> np.ndarray:
-    """out[c, b] = sum_a exp(ik (n_a - s)(n_c - t)) arr[a, b] on symmetric nodes.
+    """out[c, ...] = sum_a exp(ik (n_a - s)(n_c - t)) arr[a, ...] on symmetric nodes.
 
     The kernel factors as exp(ik st) exp(-ik t n_a) E[a, c] exp(-ik s n_c) with
     E = exp(ik n_a n_c): the first phase goes into the summed axis, the last
     into the output axis.  Rows a and P-1-a (nodes n and -n) fold into
     A+- = A_a +- A_{P-1-a}, so that two real products cos(k m m') @ A+ and
     sin(k m m') @ A- over the half m of the nodes give output rows c and P-1-c
-    as ce +- i so: a quarter of the flops of the complex product.
+    as ce +- i so: a quarter of the flops of the complex product.  `arr` may
+    be any view: the first phase makes its one C-order copy.
     """
     P = len(nodes)
     if P % 2:
         raise ValueError("the folded quadrature kernel needs an even point count")
     h = P // 2
-    a = np.multiply(arr, np.exp(-1j * k * t * nodes)[:, None], order="C")
+    phase = np.exp(-1j * k * t * nodes).reshape(P, *(1,) * (arr.ndim - 1))
+    a = np.multiply(arr, phase, order="C").reshape(P, -1)
     plus, minus = a[:h] + a[::-1][:h], a[:h] - a[::-1][:h]
     del a                                   # a full-size array, not needed past the fold
     arg = k * np.outer(nodes[:h], nodes[:h])
     ce = (np.cos(arg) @ plus.view(float)).view(complex)
     so = (np.sin(arg) @ minus.view(float)).view(complex)
     so *= 1j
-    out = np.empty((P, arr.shape[1]), dtype=complex)
+    out = np.empty((P, ce.shape[1]), dtype=complex)
     np.add(ce, so, out=out[:h])
     np.subtract(ce, so, out=out[::-1][:h])
     out *= np.exp(1j * k * s * (t - nodes))[:, None]
-    return out
+    return out.reshape(arr.shape)
 
 
 def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
@@ -425,8 +427,7 @@ def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
     T = weighted(f)
     for ax in range(space.dim):
         sign, partner = (1.0, ax + n) if ax < n else (-1.0, ax - n)
-        T = np.moveaxis(_twisted_kernel(np.moveaxis(T, ax, 0).reshape(points, -1), nodes,
-                                        sign * k, z[ax], z[partner]).reshape(T.shape), 0, ax)
+        T = np.moveaxis(_twisted_kernel(np.moveaxis(T, ax, 0), nodes, sign * k, z[ax], z[partner]), 0, ax)
     # T's axes are (p2, x2): G's two halves swapped
     val = np.sum(T * weighted(g).transpose([*range(n, 2 * n), *range(n)]))
     return complex(val / (math.pi * hbar) ** (2 * n))

@@ -1,11 +1,14 @@
 """The batched Gaussian composition kernel gives the table-by-table results
 bit for bit.
 
-`moments_poly` builds its tables a total degree at a time, many to a merge,
-and `CompositionContext.compose` forms every kappa term in segmented merges.
+`moments_poly` builds its tables a total degree at a time, a degree to a
+merge, and skips the parts of the recursion whose weight is exactly zero;
+`CompositionContext.compose` forms every kappa term in segmented merges.
 Both keep each coefficient's order of summation, so every moment table and
 every product must equal, bit for bit, what the recursions they replaced
-give.  Those recursions are kept here as references.
+give.  Those recursions are kept here as references.  A skipped part adds
+only zeros, so the memo holds a subset of the reference's tables: the ones
+that nonzero parts read.
 """
 
 import math
@@ -14,11 +17,10 @@ import operator
 import numpy as np
 import pytest
 
-from mqds import gausspoly
 from mqds.algebra import VarSpace
-from mqds.gausspoly import CompositionContext, moments_poly
+from mqds.gausspoly import CompositionContext, MomentMemo, moments_poly
 from mqds.models import dho_f, oscillator_wigner
-from mqds.poly import Poly, merge, multi_indices, unpack
+from mqds.poly import Poly, merge, multi_indices, packed_bits, unpack
 
 
 def reference_moments_poly(Sigma, lin, shift, bits, needed, memo):
@@ -54,10 +56,11 @@ def reference_moments_poly(Sigma, lin, shift, bits, needed, memo):
 
 
 def reference_compose(ctx, P1, P2, mu_memo, mv_memo):
-    """`compose` with a Python loop over kappa and two merges per kappa."""
+    """`compose` with a Python loop over kappa and two merges per kappa, and
+    the u-block tables it needs."""
     d, bits = ctx.d, ctx.bits
     if P1.is_zero() or P2.is_zero():
-        return Poly(d)
+        return Poly(d), set()
     mv = reference_moments_poly(ctx.G_vv, *ctx._v_form, bits, P2.terms, mv_memo)
     keys, coeffs = merge(np.concatenate([mv[delta][0] for delta in P2.terms]),
                          np.concatenate([c2 * mv[delta][1] for delta, c2 in P2.terms.items()]))
@@ -89,15 +92,45 @@ def reference_compose(ctx, P1, P2, mu_memo, mv_memo):
         out_keys.append(k)
         out_coeffs.append(c)
     if not out_keys:
-        return Poly(d)
-    return Poly.from_packed(d, bits, *merge(np.concatenate(out_keys), np.concatenate(out_coeffs)))
+        return Poly(d), needed
+    return Poly.from_packed(d, bits, *merge(np.concatenate(out_keys), np.concatenate(out_coeffs))), needed
 
 
-def assert_same_tables(got, want):
-    assert got.keys() == want.keys()
-    for alpha, (keys, coeffs) in want.items():
-        assert np.array_equal(got[alpha][0], keys), alpha
-        assert got[alpha][1].tobytes() == coeffs.tobytes(), alpha
+def memo_tables(memo, dim):
+    """The tables a `MomentMemo` holds, keyed by exponent tuple."""
+    alphas, starts, sizes = memo.index.tolist()
+    exps = unpack(np.array(alphas, dtype=np.int64), dim, packed_bits(dim)).tolist()
+    return {tuple(e): (memo.keys[s:s + n], memo.coeffs[s:s + n]) for e, s, n in zip(exps, starts, sizes)}
+
+
+def split_tables(result, needed):
+    """`moments_poly`'s concatenated tables, keyed by exponent tuple."""
+    keys, coeffs, sizes = result
+    ends = np.cumsum(sizes).tolist()
+    return {tuple(a): (keys[e - n:e], coeffs[e - n:e]) for a, n, e in zip(needed, sizes.tolist(), ends)}
+
+
+def assert_same_tables(memo, want, needed):
+    """Every table the memo holds equals the reference's bit for bit, every
+    needed table is there, and the memo holds no table the reference lacks."""
+    got = memo_tables(memo, len(next(iter(want))))
+    assert got.keys() <= want.keys()
+    assert {tuple(a) for a in needed} <= got.keys()
+    for alpha, (keys, coeffs) in got.items():
+        assert np.array_equal(keys, want[alpha][0]), alpha
+        assert coeffs.tobytes() == want[alpha][1].tobytes(), alpha
+
+
+def assert_same_moments(Sigma, lin, shift, bits, needed):
+    """`moments_poly` on a fresh memo returns and keeps the reference's tables."""
+    memo, ref = MomentMemo(), {}
+    got = split_tables(moments_poly(Sigma, lin, shift, bits, needed, memo), needed)
+    want = reference_moments_poly(Sigma, lin, shift, bits, needed, ref)
+    for alpha in map(tuple, needed):
+        assert np.array_equal(got[alpha][0], want[alpha][0]), alpha
+        assert got[alpha][1].tobytes() == want[alpha][1].tobytes(), alpha
+    assert_same_tables(memo, ref, needed)
+    return memo, ref
 
 
 def assert_same_poly(got, want):
@@ -106,18 +139,24 @@ def assert_same_poly(got, want):
             == np.array(list(want.terms.values()), dtype=complex).tobytes())
 
 
+def assert_same_composition(ctx, P1, P2, mu_ref, mv_ref):
+    """ctx.compose(P1, P2) equals the reference bit for bit, and so does
+    every table its memos hold."""
+    want, needed = reference_compose(ctx, P1, P2, mu_ref, mv_ref)
+    got = ctx.compose(P1, P2)
+    assert_same_poly(got, want)
+    assert_same_tables(ctx._mu_memo, mu_ref, needed)
+    assert_same_tables(ctx._mv_memo, mv_ref, P2.terms)
+    return got
+
+
 def assert_same_compositions(f, g):
     """Every Gaussian term pair of f * g composes as the reference does, and
-    leaves the same memo tables."""
+    leaves tables the reference also builds."""
     for t1 in f.terms:
         for t2 in g.terms:
-            args = (f.space.n_dof, f.space.hbar, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
-            ctx, ref = CompositionContext(*args), CompositionContext(*args)
-            got = ctx.compose(t1.poly, t2.poly)
-            assert not got.is_zero()
-            assert_same_poly(got, reference_compose(ref, t1.poly, t2.poly, ref._mu_memo, ref._mv_memo))
-            assert_same_tables(ctx._mu_memo, ref._mu_memo)
-            assert_same_tables(ctx._mv_memo, ref._mv_memo)
+            ctx = CompositionContext(f.space.n_dof, f.space.hbar, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
+            assert not assert_same_composition(ctx, t1.poly, t2.poly, {}, {}).is_zero()
 
 
 @pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0])
@@ -151,11 +190,18 @@ def test_random_gaussian_pairs_compose_as_the_reference(n_dof, top):
     rng = np.random.default_rng(41 + n_dof)
     for _ in range(4):
         (A1, b1, P1), (A2, b2, P2) = random_term_pair(rng, n_dof, 6, top)
-        args = (n_dof, 1.0, A1, b1, A2, b2)
-        ctx, ref = CompositionContext(*args), CompositionContext(*args)
-        assert_same_poly(ctx.compose(P1, P2), reference_compose(ref, P1, P2, ref._mu_memo, ref._mv_memo))
-        assert_same_tables(ctx._mu_memo, ref._mu_memo)
-        assert_same_tables(ctx._mv_memo, ref._mv_memo)
+        assert_same_composition(CompositionContext(n_dof, 1.0, A1, b1, A2, b2), P1, P2, {}, {})
+
+
+def test_dense_random_pair_prunes_nothing():
+    # random exponents give a dense covariance and nonzero means: no weight
+    # is zero, so the memos hold every table the reference walk visits
+    (A1, b1, P1), (A2, b2, P2) = random_term_pair(np.random.default_rng(59), 2, 6, 3)
+    ctx, mu_ref, mv_ref = CompositionContext(2, 1.0, A1, b1, A2, b2), {}, {}
+    assert np.all(ctx.G_uu != 0) and np.all(ctx.G_vv != 0)
+    assert_same_composition(ctx, P1, P2, mu_ref, mv_ref)
+    assert memo_tables(ctx._mu_memo, 4).keys() == mu_ref.keys()
+    assert memo_tables(ctx._mv_memo, 4).keys() == mv_ref.keys()
 
 
 def test_second_composition_reuses_the_memo():
@@ -163,14 +209,11 @@ def test_second_composition_reuses_the_memo():
     (A1, b1, P1), (A2, b2, P2) = random_term_pair(rng, 2, 5, 4)
     Q1 = P1 + Poly(4, {(3, 1, 0, 1): 0.5 - 1j, (0, 0, 2, 2): 2.0})
     Q2 = P2 + Poly(4, {(1, 1, 1, 1): -1.5j})
-    args = (2, 1.0, A1, b1, A2, b2)
-    ctx, ref = CompositionContext(*args), CompositionContext(*args)
+    ctx, mu_ref, mv_ref = CompositionContext(2, 1.0, A1, b1, A2, b2), {}, {}
     # Q1 and Q2 hold every term of P1 and P2: the later calls start from
     # memos that hold part of what they need
     for F, G in ((P1, P2), (Q1, Q2), (P1, Q2)):
-        assert_same_poly(ctx.compose(F, G), reference_compose(ref, F, G, ref._mu_memo, ref._mv_memo))
-        assert_same_tables(ctx._mu_memo, ref._mu_memo)
-        assert_same_tables(ctx._mv_memo, ref._mv_memo)
+        assert_same_composition(ctx, F, G, mu_ref, mv_ref)
 
 
 def test_table_that_cancels_to_empty():
@@ -179,9 +222,32 @@ def test_table_that_cancels_to_empty():
     Sigma = np.array([[1.0, -6.0], [-6.0, 1.0]], dtype=complex)
     lin, shift = np.zeros((2, 1), dtype=complex), np.array([2.0, 3.0], dtype=complex)
     needed = list(multi_indices(2, 5))
-    got = moments_poly(Sigma, lin, shift, 31, needed, {})
+    got = split_tables(moments_poly(Sigma, lin, shift, 31, needed, MomentMemo()), needed)
     assert len(got[(1, 1)][0]) == 0 and len(got[(2, 0)][0]) == 1
-    assert_same_tables(got, reference_moments_poly(Sigma, lin, shift, 31, needed, {}))
+    assert_same_moments(Sigma, lin, shift, 31, needed)
+
+
+def test_constant_mean_without_linear_terms():
+    # mean 1 is the constant 0.5 - 2j (lin row 1 is zero): its tables gain
+    # the constant part only, and mean 0 has no constant part at all
+    Sigma = np.array([[1.5, 0.25j], [0.25j, 0.75]], dtype=complex)
+    lin = np.array([[1.0, -0.5j, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    shift = np.array([0.0, 0.5 - 2j], dtype=complex)
+    needed = list(multi_indices(2, 6))
+    memo, ref = assert_same_moments(Sigma, lin, shift, 21, needed)
+    assert memo_tables(memo, 2).keys() == ref.keys()
+
+
+def test_covariance_with_a_zero_row():
+    # Sigma's row and column 1 are exactly zero: z1 has no spread, so no
+    # table reads beta - e1 through Sigma, and the walk skips what only
+    # those parts would read
+    Sigma = np.array([[2.0, 0.0, 0.5j], [0.0, 0.0, 0.0], [0.5j, 0.0, 1.0]], dtype=complex)
+    lin = np.array([[0.0, 1.0], [1.0, -1.0j], [0.0, 0.0]], dtype=complex)
+    shift = np.array([0.0, 0.0, 1.0 + 1j], dtype=complex)
+    needed = [(2, 3, 1), (0, 4, 2), (3, 0, 3), (1, 1, 1), (0, 0, 0), (4, 1, 0)]
+    memo, ref = assert_same_moments(Sigma, lin, shift, 31, needed)
+    assert len(memo) < len(ref)
 
 
 def test_keys_in_the_top_fields():
@@ -193,19 +259,26 @@ def test_keys_in_the_top_fields():
     P1 = Poly(2, {(2, 14): 1.0, (0, 16): -0.5j, (5, 9): 0.25})
     P2 = Poly(2, {(0, 16): 1.0 + 1j, (1, 15): 2.0, (3, 11): -1.0})
     ctx = CompositionContext(1, space.hbar, A1, b1, A2, b2)
-    ref = CompositionContext(1, space.hbar, A1, b1, A2, b2)
-    assert_same_poly(ctx.compose(P1, P2), reference_compose(ref, P1, P2, ref._mu_memo, ref._mv_memo))
-    assert max(int(k.max()) for k, _ in ctx._mv_memo.values()) >> 45 >= 8
-    assert_same_tables(ctx._mv_memo, ref._mv_memo)
+    assert_same_composition(ctx, P1, P2, {}, {})
+    assert int(ctx._mv_memo.keys[:ctx._mv_memo.used].max()) >> 45 >= 8
 
 
-def test_table_batches_fit_int64(monkeypatch):
-    # at N = 3 a v-table's keys take 12 fields of 5 bits, so a degree-4 batch
-    # holds at most 2**(63 - 55 - 3) = 32 tables; without the entry cap that
-    # bound alone splits the 126 tables of degree 4
-    monkeypatch.setattr(gausspoly, "_BATCH_ENTRIES", 1 << 40)
+def test_table_batches_fit_int64():
+    # at N = 3 a v-table's keys take 12 fields of 5 bits, so a merge of
+    # degree-4 tables holds at most 2**(63 - 55 - 3) - 1 = 31 of them: the
+    # int64 bound splits the 126 tables of degree 4
     (A1, b1, _), (A2, b2, _) = random_term_pair(np.random.default_rng(53), 3, 1, 2)
     ctx = CompositionContext(3, 1.0, A1, b1, A2, b2)
-    needed = list(multi_indices(6, 4))
-    got = moments_poly(ctx.G_vv, *ctx._v_form, ctx.bits, needed, {})
-    assert_same_tables(got, reference_moments_poly(ctx.G_vv, *ctx._v_form, ctx.bits, needed, {}))
+    assert_same_moments(ctx.G_vv, *ctx._v_form, ctx.bits, list(multi_indices(6, 4)))
+
+
+def test_top_product_builds_only_the_tables_nonzero_parts_read():
+    # work guard: in F66 * F66 the dho block means have no constant part and
+    # the covariances two nonzero entries per row, so the walk that skips
+    # zero weights builds 6835 u-tables and 2365 v-tables; visiting every
+    # dependency, as the reference does, builds 7160 and 3867
+    space = VarSpace(2, 1.0)
+    (t,) = dho_f(6, 6, "+", space).terms
+    ctx = CompositionContext(2, 1.0, t.expo.A, t.expo.b, t.expo.A, t.expo.b)
+    ctx.compose(t.poly, t.poly)
+    assert (len(ctx._mu_memo), len(ctx._mv_memo)) == (6835, 2365)

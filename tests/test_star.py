@@ -15,8 +15,8 @@ import pytest
 
 from conftest import random_gaussian, random_polynomial, w0
 from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
-from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, integrate_partial,
-                            integrate_poly_exp, moments_poly, moments_scalar)
+from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, MomentMemo,
+                            integrate_partial, integrate_poly_exp, moments_poly, moments_scalar)
 from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
 from mqds.poly import Poly, multi_factorial, multi_indices
 from mqds.star import (EvolutionSingular, OracleNotConverged, _dampened,
@@ -86,7 +86,10 @@ def test_packed_memos_match_moments_poly(space2):
     ctx = CompositionContext(2, 1.0, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
     needed = list(multi_indices(4, 4))
     for Sigma, (lin, shift) in ((ctx.G_uu, ctx._u_form), (ctx.G_vv, ctx._v_form)):
-        packed = moments_poly(Sigma, lin, shift, ctx.bits, needed, {})
+        keys, coeffs, sizes = moments_poly(Sigma, lin, shift, ctx.bits, needed, MomentMemo())
+        ends = np.cumsum(sizes).tolist()
+        packed = {alpha: (keys[end - n:end], coeffs[end - n:end])
+                  for alpha, n, end in zip(needed, sizes.tolist(), ends)}
         for _ in range(3):
             w = rng.normal(size=lin.shape[1]) + 1j * rng.normal(size=lin.shape[1])
             want = moments_scalar(Sigma, lin @ w + shift, needed)
