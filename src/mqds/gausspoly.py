@@ -269,7 +269,8 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
         firsts = [*range(0, len(cand), cap), len(cand)]
         edges = np.concatenate(([0], sizes.cumsum()))[t.searchsorted(firsts)].tolist()
         for lo, hi, f0, f1 in zip(edges, edges[1:], firsts, firsts[1:]):
-            batch_keys, batch_coeffs = merge(keys[lo:hi], coeffs[lo:hi])
+            # the parts are sorted runs, which the stable sort merges
+            batch_keys, batch_coeffs = merge(keys[lo:hi], coeffs[lo:hi], kind="stable")
             tables = cand[f0:f1]
             bounds = batch_keys.searchsorted(np.arange(f1 - f0 + 1) << width)
             batch_keys &= (1 << width) - 1

@@ -27,8 +27,11 @@ verification module, which checks every member).
 from __future__ import annotations
 
 import math
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from functools import partial, wraps
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -143,17 +146,78 @@ def ladder_set(model: ModelId, space: VarSpace) -> Dict[str, QGFunction]:
     return {"a1": a1, "a2": a2, "a1*": a1.conjugate(), "a2*": a2.conjugate()}
 
 
+class _RunMemo:
+    """Members and ladder states built in one verification run, by key, and
+    how often each kind ("member", "state") was reused."""
+
+    __slots__ = ("built", "reused")
+
+    def __init__(self) -> None:
+        self.built: Dict[tuple, QGFunction] = {}
+        self.reused: Counter = Counter()
+
+    def counts(self) -> Dict[str, Tuple[int, int]]:
+        """(built, reused) per kind."""
+        built = Counter(key[0] for key in self.built)
+        return {kind: (built[kind], self.reused[kind]) for kind in ("member", "state")}
+
+
+# `verify.run_all` sets a fresh memo for the run and resets it when the run
+# ends; unset, every builder computes afresh and nothing is kept.  A reused
+# value is the result of the same star products in the same order, so it is
+# bit-identical to a rebuilt one.
+_RUN_MEMO: ContextVar[_RunMemo | None] = ContextVar("mqds_run_memo", default=None)
+
+
+def _memoized(key: tuple, build: Callable[[], QGFunction]) -> QGFunction:
+    """build(), or within a run memo the value built for `key` earlier."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return build()
+    out = memo.built.get(key)
+    if out is None:
+        out = memo.built[key] = build()
+    else:
+        memo.reused[key[0]] += 1
+    return out
+
+
+def _built_once_per_run(build: Callable[..., QGFunction]) -> Callable[..., QGFunction]:
+    """Within a run memo, `build` runs once per set of arguments."""
+    @wraps(build)
+    def builder(*args, **kwargs):
+        key = ("member", build.__name__, args, tuple(sorted(kwargs.items())))
+        return _memoized(key, partial(build, *args, **kwargs))
+    return builder
+
+
+def _value_key(f: QGFunction) -> tuple:
+    """f's space and terms to the bit, in stored order."""
+    return (f.space, tuple((tuple(t.poly.terms),
+                            np.array([*t.poly.terms.values(), t.expo.c], dtype=complex).tobytes()
+                            + t.expo.A.tobytes() + t.expo.b.tobytes())
+                           for t in f.terms))
+
+
 def _ladder(ground: QGFunction, left: Sequence[Tuple[QGFunction, int]],
             right: Sequence[Tuple[QGFunction, int]]) -> QGFunction:
     """Star-multiply the ground state by each (generator, count) of `left` from
-    the left in list order, then by each of `right` from the right."""
+    the left in list order, then by each of `right` from the right.  Within a
+    run memo each state is keyed by the ground state and the generators
+    applied so far, so chains that share a prefix build it once."""
+    steps = [(gen, True) for gen, count in left for _ in range(count)]
+    steps += [(gen, False) for gen, count in right for _ in range(count)]
+    memo_on = _RUN_MEMO.get() is not None
+    key = ("state", _value_key(ground)) if memo_on else None
+    gen_keys = {id(gen): _value_key(gen) for gen, _ in steps} if memo_on else {}
     out = ground
-    for gen, count in left:
-        for _ in range(count):
-            out = star(gen, out)
-    for gen, count in right:
-        for _ in range(count):
-            out = star(out, gen)
+    for gen, from_left in steps:
+        step = partial(star, gen, out) if from_left else partial(star, out, gen)
+        if key is None:
+            out = step()
+        else:
+            key += ((from_left, gen_keys[id(gen)]),)
+            out = _memoized(key, step)
     return out
 
 
@@ -252,6 +316,7 @@ def toy_resonant_ladder(n: int, sign: str, space: VarSpace) -> QGFunction:
 # damped harmonic oscillator families
 # ---------------------------------------------------------------------------
 
+@_built_once_per_run
 def dho_f(n: int, m: int, sign: str, space: VarSpace) -> QGFunction:
     """Integrable damped-oscillator family, normalized so the integral is 1.
 
@@ -279,6 +344,7 @@ def dho_f(n: int, m: int, sign: str, space: VarSpace) -> QGFunction:
     return out.scaled(1.0 / total)
 
 
+@_built_once_per_run
 def dho_g(n: int, m: int, space: VarSpace) -> QGFunction:
     """Non-integrable companion family built on G_00 = e^{(2/hbar)(x1 p2 - x2 p1)}.
 

@@ -280,14 +280,16 @@ def packed_diff(keys: np.ndarray, coeffs: np.ndarray, index: int, bits: int,
     return merge(np.concatenate(parts_k), np.concatenate(parts_c))
 
 
-def merge(keys: np.ndarray, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def merge(keys: np.ndarray, coeffs: np.ndarray,
+          kind: str = "quicksort") -> Tuple[np.ndarray, np.ndarray]:
     """Sum the coefficients of equal keys; sorted by key, exact zeros dropped.
 
     bincount adds each key's coefficients in input order, whatever order the
-    sort leaves equal keys in, so the sort need not be stable.  The sort and
-    bincount stand in for np.unique, whose per-call overhead dominates on
-    short arrays."""
-    order = keys.argsort()
+    sort leaves equal keys in, so the sort kind changes only the speed: the
+    stable timsort merges concatenated sorted runs faster, the default
+    quicksort shuffled keys.  The sort and bincount stand in for np.unique,
+    whose per-call overhead dominates on short arrays."""
+    order = keys.argsort(kind=kind)
     ordered = keys[order]
     starts = np.empty(len(keys), dtype=bool)
     starts[:1] = True

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,13 +26,15 @@ import numpy as np
 
 from .algebra import QGFunction, QGTerm, QuadExponent, VarSpace, gaussian_test, poisson_bracket
 from .gausspoly import NonIntegrable
-from .models import (ModelId, WaveFunction, conjugation_by_V, dho_f, dho_g, eigenvalue,
-                     hamiltonian, hyperbolic_frame_matrix, koopman_apply, ladder_set,
-                     oscillator_wigner, oscillator_wigner_ladder, toy_resonant,
+from .models import (_RUN_MEMO, ModelId, WaveFunction, _RunMemo, conjugation_by_V, dho_f,
+                     dho_g, eigenvalue, hamiltonian, hyperbolic_frame_matrix, koopman_apply,
+                     ladder_set, oscillator_wigner, oscillator_wigner_ladder, toy_resonant,
                      toy_resonant_ladder, wigner_pair_transform)
 from .poly import Poly
 from .star import (classical_flow_matrix, evolve, gauss_legendre, moyal_bracket,
                    quadrature_star_oracle, star, star_exp_closed_taylor, star_exp_series)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -657,20 +660,28 @@ def run_all(selectors: Iterable[str] | None = None, seed: int = 0,
             raise KeyError(f"unknown check '{name}'")
     values = {"hbar": hbar, "omega": omega, "gamma": gamma, "seed": seed}
     report = VerificationReport()
-    for name in names:
-        fn, default_tolerance = _CHECKS[name]
-        params = inspect.signature(fn).parameters
-        kwargs: Dict[str, object] = {k: v for k, v in values.items() if k in params}
-        if name in tolerance_overrides:
-            kwargs["tolerance"] = tolerance_overrides[name]
-        t0 = time.perf_counter()
-        try:
-            sub = fn(**kwargs)
-        except Exception as exc:  # noqa: BLE001 - a failing check must not abort siblings
-            sub = VerificationReport([CheckEntry(name, {"error": repr(exc)}, math.inf,
-                                                 tolerance_overrides.get(name, default_tolerance))])
-        dt = time.perf_counter() - t0
-        for e in sub.entries:
-            e.wall_time = dt / max(len(sub.entries), 1)
-        report.extend(sub)
+    memo = _RunMemo()
+    token = _RUN_MEMO.set(memo)
+    try:
+        for name in names:
+            fn, default_tolerance = _CHECKS[name]
+            params = inspect.signature(fn).parameters
+            kwargs: Dict[str, object] = {k: v for k, v in values.items() if k in params}
+            if name in tolerance_overrides:
+                kwargs["tolerance"] = tolerance_overrides[name]
+            t0 = time.perf_counter()
+            try:
+                sub = fn(**kwargs)
+            except Exception as exc:  # noqa: BLE001 - a failing check must not abort siblings
+                sub = VerificationReport([CheckEntry(name, {"error": repr(exc)}, math.inf,
+                                                     tolerance_overrides.get(name, default_tolerance))])
+            dt = time.perf_counter() - t0
+            log.debug("check %s: %d entries in %.3f s", name, len(sub.entries), dt)
+            for e in sub.entries:
+                e.wall_time = dt / max(len(sub.entries), 1)
+            report.extend(sub)
+    finally:
+        _RUN_MEMO.reset(token)
+    for kind, (built, reused) in memo.counts().items():
+        log.debug("run memo: %d %ss built, %d reused", built, kind, reused)
     return report

@@ -2,15 +2,18 @@
 
 import inspect
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_gaussian
+from mqds import models
 from mqds.algebra import VarSpace
+from mqds.models import dho_f, dho_g, oscillator_wigner_ladder
 from mqds.star import star
-from mqds.verify import (_CHECKS, CHECK_REGISTRY, CheckEntry,
+from mqds.verify import (_CHECKS, CHECK_REGISTRY, CheckEntry, VerificationReport,
                          check_classical_limit, check_conjugation, check_eigen,
                          check_identity_resolution, relative_gap, run_all)
 
@@ -93,16 +96,78 @@ def test_zero_tolerance_override_is_kept():
 def test_failing_check_does_not_abort_siblings(monkeypatch):
     import mqds.verify as V
 
+    memo_during = []
+
     def boom(**kwargs):
+        memo_during.append(models._RUN_MEMO.get())
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(V._CHECKS, "koopman_zero_mode", (boom, 1e-12))
     rep = run_all(selectors=["koopman_zero_mode", "classical_limit"])
+    assert memo_during[0] is not None
+    assert models._RUN_MEMO.get() is None
     names = {e.name for e in rep.entries}
     assert "classical_limit" in names
     failed = [e for e in rep.entries if e.name == "koopman_zero_mode"]
     assert len(failed) == 1 and not failed[0].passed
     assert math.isinf(failed[0].residual)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+def test_run_memo_changes_no_result(hbar):
+    # the memo only skips repeats of the same star products in the same
+    # order, so each check alone, with nothing reused, reports the same bytes
+    report = run_all(seed=0, hbar=hbar)
+    assert models._RUN_MEMO.get() is None
+    alone = VerificationReport()
+    values = {"hbar": hbar, "omega": 1.0, "gamma": 1.0, "seed": 0}
+    for fn, _ in _CHECKS.values():
+        params = inspect.signature(fn).parameters
+        alone.extend(fn(**{k: v for k, v in values.items() if k in params}))
+    assert report.to_json() == alone.to_json()
+
+
+def test_builders_keep_nothing_outside_a_run():
+    sp = VarSpace(2, 1.0)
+    first, second = dho_f(2, 1, "-", sp), dho_f(2, 1, "-", sp)
+    assert first is not second
+    assert first.to_json_dict() == second.to_json_dict()
+
+
+def test_run_memo_reuses_members_and_chain_states():
+    sp1, sp2 = VarSpace(1, 1.0), VarSpace(2, 1.0)
+    fresh = [dho_f(2, 1, "-", sp2), dho_g(1, 2, sp2), oscillator_wigner_ladder(4, sp1)]
+    memo = models._RunMemo()
+    token = models._RUN_MEMO.set(memo)
+    try:
+        F = dho_f(2, 1, "-", sp2)
+        assert dho_f(2, 1, "-", sp2) is F
+        G = dho_g(1, 2, sp2)
+        oscillator_wigner_ladder(3, sp1)
+        W = oscillator_wigner_ladder(4, sp1)
+    finally:
+        models._RUN_MEMO.reset(token)
+    # members: F-, F+ (its source), G12 and G21 (its mirror), then F- again.
+    # States: 6 steps each for F+ and G21; W3's chain a*^3 W0 a^3 (6 states)
+    # shares its first 3 with W4's (8 states)
+    assert memo.counts() == {"member": (4, 1), "state": (6 + 6 + 6 + 5, 3)}
+    for got, want in zip((F, G, W), fresh):
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_run_all_logs_check_times_and_memo_counts(caplog):
+    selectors = ["conjugation_symmetry", "koopman_zero_mode"]
+    quiet = run_all(selectors=selectors).to_json()
+    with caplog.at_level(logging.DEBUG, logger="mqds"):
+        loud = run_all(selectors=selectors).to_json()
+    assert loud == quiet
+    messages = [r.getMessage() for r in caplog.records if r.name.startswith("mqds")]
+    for name in selectors:
+        assert any(m.startswith(f"check {name}: ") and m.endswith(" s") for m in messages)
+    memo_lines = [m for m in messages if m.startswith("run memo: ")]
+    assert len(memo_lines) == 2
+    # conjugation_symmetry asks for F+ after building it for F-
+    assert "members built" in memo_lines[0] and not memo_lines[0].endswith(" 0 reused")
 
 
 def test_report_json_schema():
