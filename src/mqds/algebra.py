@@ -274,8 +274,12 @@ class QGFunction:
         return self.mul(test).gaussian_integral()
 
     def coeff_norm(self) -> float:
-        """Sum over terms of e^{Re c} * sum |poly coefficients|; 0 iff f == 0."""
-        return float(sum(math.exp(min(t.expo.c.real, 700.0)) * t.poly.coeff_abs_sum()
+        """Sum over terms of e^{Re c} * sum |poly coefficients|, with z measured
+        in its natural unit sqrt(hbar) (the coefficient of z^e weighs
+        hbar^(|e|/2)), so that a ratio of norms does not depend on the unit
+        of z; 0 iff f == 0."""
+        unit = math.sqrt(self.space.hbar)
+        return float(sum(math.exp(min(t.expo.c.real, 700.0)) * t.poly.coeff_abs_sum(unit)
                          for t in self.terms))
 
     # -- serialization ----------------------------------------------------------

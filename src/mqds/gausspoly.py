@@ -354,18 +354,19 @@ def integrate_partial(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
 
 
 class CompositionContext:
-    """Shared data for the Gaussian star composition at fixed exponents.
+    """Shared data for the Gaussian star composition at fixed exponents, at
+    hbar = 1 (the star product at any other hbar maps to it in natural units;
+    see `star._compose_term_pair`).
 
     Built once per (A1, b1, A2, b2) pair; the Hermite-moment tables are
     memoized so that families sharing a common exponent (every ladder-built
     eigenfunction family does) reuse all recursion work.
     """
 
-    def __init__(self, n_dof: int, hbar: float,
-                 A1: np.ndarray, b1: np.ndarray, A2: np.ndarray, b2: np.ndarray):
+    def __init__(self, n_dof: int, A1: np.ndarray, b1: np.ndarray, A2: np.ndarray, b2: np.ndarray):
         d = 2 * n_dof
         self.d = d
-        kappa = 2j / hbar
+        kappa = 2j
         J = np.zeros((d, d))
         J[:n_dof, n_dof:] = np.eye(n_dof)
         J[n_dof:, :n_dof] = -np.eye(n_dof)
@@ -394,7 +395,7 @@ class CompositionContext:
         self.A3 = sym(-B.T @ G @ B)
         self.b3 = B.T @ (G @ beta0)
         self.c3_base = 0.5 * beta0 @ (G @ beta0)          # add c1 + c2 at use site
-        self.pref = (2.0 / hbar) ** d / _branch_sqrt_det(eigs)
+        self.pref = 2.0 ** d / _branch_sqrt_det(eigs)
 
         T = G @ B                                          # (2d, d): z-coupling of the source means
         s_vec = G @ beta0
@@ -477,19 +478,20 @@ class CompositionContext:
 _CTX_CACHE: Dict[bytes, CompositionContext] = {}
 
 
-def composition_context(n_dof: int, hbar: float,
-                        A1: np.ndarray, b1: np.ndarray,
+def composition_context(n_dof: int, A1: np.ndarray, b1: np.ndarray,
                         A2: np.ndarray, b2: np.ndarray) -> CompositionContext:
-    key_arr = np.concatenate([
-        np.array([n_dof, hbar], dtype=complex),
-        np.round(A1, 12).ravel(), np.round(b1, 12),
-        np.round(A2, 12).ravel(), np.round(b2, 12),
-    ])
-    key = key_arr.tobytes()
+    # key: each exponent divided by the power of two of its largest entry and
+    # rounded to 12 decimals, with that power, so that the key keeps its
+    # relative precision at any size (the natural-unit exponents of a
+    # fixed-width Gaussian are of size hbar)
+    arrays = (A1, b1, A2, b2)
+    scales = [math.frexp(float(np.abs(a).max(initial=0.0)))[1] for a in arrays]
+    key = np.concatenate([np.array([n_dof, *scales], dtype=complex)]
+                         + [np.round(a * 2.0 ** -e, 12).ravel() for a, e in zip(arrays, scales)]).tobytes()
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
         if len(_CTX_CACHE) > 128:
             _CTX_CACHE.clear()
-        ctx = CompositionContext(n_dof, hbar, A1, b1, A2, b2)
+        ctx = CompositionContext(n_dof, A1, b1, A2, b2)
         _CTX_CACHE[key] = ctx
     return ctx

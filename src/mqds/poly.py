@@ -77,8 +77,9 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def coeff_abs_sum(self) -> float:
-        return float(sum(abs(c) for c in self.terms.values()))
+    def coeff_abs_sum(self, unit: float) -> float:
+        """Sum of |c| * unit^|e|: the coefficient mass once z is measured in `unit`."""
+        return float(sum(abs(c) * unit ** sum(e) for e, c in self.terms.items()))
 
     def max_abs_coeff(self, unit: float = 1.0) -> float:
         """Largest |c| * unit^|e|: the coefficient size once z is measured in `unit`."""
@@ -113,6 +114,13 @@ class Poly:
             return Poly(self.dim)
         p = Poly(self.dim)
         p.terms = {e: v * c for e, v in self.terms.items()}
+        return p
+
+    def rescaled(self, unit: float) -> "Poly":
+        """P(unit * w) as a polynomial in w: the coefficient of z^e times unit^|e|."""
+        powers = [unit ** k for k in range(self.degree() + 1)]
+        p = Poly(self.dim)
+        p.terms = {e: c * powers[sum(e)] for e, c in self.terms.items()}
         return p
 
     def mul(self, other: "Poly") -> "Poly":

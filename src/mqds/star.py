@@ -136,12 +136,26 @@ def _derivatives(term: QGTerm, bits: int, swap: bool):
 
 
 def _compose_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm) -> QGTerm:
-    """Closed-form Gaussian composition for one term pair."""
-    ctx = composition_context(space.n_dof, space.hbar,
-                              t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
-    poly = ctx.compose(t1.poly, t2.poly).scaled(ctx.pref)
-    expo = QuadExponent(ctx.A3, ctx.b3, ctx.c3_base + t1.expo.c + t2.expo.c)
-    return QGTerm(poly, expo)
+    """Closed-form Gaussian composition for one term pair, in natural units.
+
+    The product is covariant under z = sqrt(hbar) w:
+    f(z/sqrt(hbar)) *_hbar g(z/sqrt(hbar)) = (f *_1 g)(z/sqrt(hbar)).  So both
+    terms are written in w (A -> hbar A, b -> sqrt(hbar) b, the coefficient
+    of z^e times hbar^(|e|/2)), composed at hbar = 1 and mapped back; c and
+    the prefactor do not change.  One context, with its moment memos, then
+    serves a pair of exponents at every hbar.  At hbar = 1 the map is the
+    identity, and it is skipped: it would copy both polynomials and the
+    product for nothing.
+    """
+    hbar, unit = space.hbar, math.sqrt(space.hbar)
+    (A1, b1, P1), (A2, b2, P2) = [(t.expo.A, t.expo.b, t.poly) if hbar == 1.0 else
+                                  (hbar * t.expo.A, unit * t.expo.b, t.poly.rescaled(unit))
+                                  for t in (t1, t2)]
+    ctx = composition_context(space.n_dof, A1, b1, A2, b2)
+    poly, A3, b3 = ctx.compose(P1, P2), ctx.A3, ctx.b3
+    if hbar != 1.0:
+        poly, A3, b3 = poly.rescaled(1.0 / unit), A3 / hbar, b3 / unit
+    return QGTerm(poly.scaled(ctx.pref), QuadExponent(A3, b3, ctx.c3_base + t1.expo.c + t2.expo.c))
 
 
 def star(f: QGFunction, g: QGFunction) -> QGFunction:
@@ -311,13 +325,12 @@ def classical_flow_matrix(model, t: float) -> np.ndarray:
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _decay_floor(f: QGFunction) -> float:
-    """Smallest eigenvalue of Re A over all terms (decay rate of the tails)."""
-    worst = math.inf
-    for t in f.terms:
-        ev = np.linalg.eigvalsh(0.5 * (t.expo.A.real + t.expo.A.real.T))
-        worst = min(worst, float(ev.min()))
-    return worst
+def _decay_rates(*fs: QGFunction) -> Tuple[float, float]:
+    """Smallest and largest eigenvalue of Re A over all terms of `fs`: the
+    decay rate of the slowest tail and that of the narrowest Gaussian."""
+    eigs = [np.linalg.eigvalsh(0.5 * (t.expo.A.real + t.expo.A.real.T)) for f in fs for t in f.terms]
+    return (min((float(ev.min()) for ev in eigs), default=math.inf),
+            max((float(ev.max()) for ev in eigs), default=0.0))
 
 
 def _dampened(f: QGFunction, eps: float) -> QGFunction:
@@ -475,19 +488,21 @@ def quadrature_star_oracle(f: QGFunction, g: QGFunction, z) -> complex:
     if f.space.n_dof > 2:
         raise ValueError("oracle supports N <= 2")
     z = np.asarray(z, dtype=float).reshape(-1)
-    floor = min(_decay_floor(f), _decay_floor(g))
+    floor, top = _decay_rates(f, g)
     if floor < -1e-10:
         raise OracleNotConverged("integrand grows on the truncated grid (Re A indefinite)")
 
     if floor > 1e-8:
         # honest Gaussian decay: box wide enough for the tails, grid fine
-        # enough for the twisted kernel's oscillation across the box
+        # enough for the twisted kernel's oscillation across the box and for
+        # the narrowest Gaussian
         L = max(4.0, math.sqrt(36.0 / floor) + float(np.abs(z).max()))
         if f.space.n_dof == 2:
             # time: the kernel contraction holds P^4 tensors
             counts = (44, 52)
         else:
-            pts = max(48, int(4.6 * L * L / (math.pi * f.space.hbar)) + 40) // 2 * 2
+            pts = max(48, int(4.6 * L * L / (math.pi * f.space.hbar)) + 40,
+                      int(6.0 * L * math.sqrt(top))) // 2 * 2
             counts = (pts, int(pts * 1.4) // 2 * 2, 2 * pts)
         prev = None
         for points in counts:

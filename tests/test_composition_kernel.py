@@ -11,16 +11,20 @@ only zeros, so the memo holds a subset of the reference's tables: the ones
 that nonzero parts read.
 """
 
+import json
 import math
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mqds.algebra import VarSpace
-from mqds.gausspoly import CompositionContext, MomentMemo, moments_poly
+from mqds import gausspoly
+from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, gaussian_test
+from mqds.gausspoly import CompositionContext, MomentMemo, _branch_sqrt_det, moments_poly, sym
 from mqds.models import dho_f, oscillator_wigner
 from mqds.poly import Poly, merge, multi_indices, packed_bits, unpack
+from mqds.star import star
 
 
 def reference_moments_poly(Sigma, lin, shift, bits, needed, memo):
@@ -150,13 +154,20 @@ def assert_same_composition(ctx, P1, P2, mu_ref, mv_ref):
     return got
 
 
+def natural_units(space, term):
+    """A term's exponent and prefactor in w = z / sqrt(hbar), as `star` composes them."""
+    unit = math.sqrt(space.hbar)
+    return space.hbar * term.expo.A, unit * term.expo.b, term.poly.rescaled(unit)
+
+
 def assert_same_compositions(f, g):
-    """Every Gaussian term pair of f * g composes as the reference does, and
-    leaves tables the reference also builds."""
+    """Every Gaussian term pair of f * g, in natural units, composes as the
+    reference does, and leaves tables the reference also builds."""
     for t1 in f.terms:
         for t2 in g.terms:
-            ctx = CompositionContext(f.space.n_dof, f.space.hbar, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
-            assert not assert_same_composition(ctx, t1.poly, t2.poly, {}, {}).is_zero()
+            (A1, b1, P1), (A2, b2, P2) = natural_units(f.space, t1), natural_units(f.space, t2)
+            ctx = CompositionContext(f.space.n_dof, A1, b1, A2, b2)
+            assert not assert_same_composition(ctx, P1, P2, {}, {}).is_zero()
 
 
 @pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0])
@@ -190,14 +201,14 @@ def test_random_gaussian_pairs_compose_as_the_reference(n_dof, top):
     rng = np.random.default_rng(41 + n_dof)
     for _ in range(4):
         (A1, b1, P1), (A2, b2, P2) = random_term_pair(rng, n_dof, 6, top)
-        assert_same_composition(CompositionContext(n_dof, 1.0, A1, b1, A2, b2), P1, P2, {}, {})
+        assert_same_composition(CompositionContext(n_dof, A1, b1, A2, b2), P1, P2, {}, {})
 
 
 def test_dense_random_pair_prunes_nothing():
     # random exponents give a dense covariance and nonzero means: no weight
     # is zero, so the memos hold every table the reference walk visits
     (A1, b1, P1), (A2, b2, P2) = random_term_pair(np.random.default_rng(59), 2, 6, 3)
-    ctx, mu_ref, mv_ref = CompositionContext(2, 1.0, A1, b1, A2, b2), {}, {}
+    ctx, mu_ref, mv_ref = CompositionContext(2, A1, b1, A2, b2), {}, {}
     assert np.all(ctx.G_uu != 0) and np.all(ctx.G_vv != 0)
     assert_same_composition(ctx, P1, P2, mu_ref, mv_ref)
     assert memo_tables(ctx._mu_memo, 4).keys() == mu_ref.keys()
@@ -209,7 +220,7 @@ def test_second_composition_reuses_the_memo():
     (A1, b1, P1), (A2, b2, P2) = random_term_pair(rng, 2, 5, 4)
     Q1 = P1 + Poly(4, {(3, 1, 0, 1): 0.5 - 1j, (0, 0, 2, 2): 2.0})
     Q2 = P2 + Poly(4, {(1, 1, 1, 1): -1.5j})
-    ctx, mu_ref, mv_ref = CompositionContext(2, 1.0, A1, b1, A2, b2), {}, {}
+    ctx, mu_ref, mv_ref = CompositionContext(2, A1, b1, A2, b2), {}, {}
     # Q1 and Q2 hold every term of P1 and P2: the later calls start from
     # memos that hold part of what they need
     for F, G in ((P1, P2), (Q1, Q2), (P1, Q2)):
@@ -254,11 +265,10 @@ def test_keys_in_the_top_fields():
     # N = 1 packs the v-tables' four variables (x, p, u_x, u_p) in 15 bits
     # each, u_p in bits 45-59: P2's high powers of p put keys there, and
     # P1's high powers make kappa large
-    space = VarSpace(1, 1.0)
     (A1, b1, _), (A2, b2, _) = random_term_pair(np.random.default_rng(47), 1, 1, 2)
     P1 = Poly(2, {(2, 14): 1.0, (0, 16): -0.5j, (5, 9): 0.25})
     P2 = Poly(2, {(0, 16): 1.0 + 1j, (1, 15): 2.0, (3, 11): -1.0})
-    ctx = CompositionContext(1, space.hbar, A1, b1, A2, b2)
+    ctx = CompositionContext(1, A1, b1, A2, b2)
     assert_same_composition(ctx, P1, P2, {}, {})
     assert int(ctx._mv_memo.keys[:ctx._mv_memo.used].max()) >> 45 >= 8
 
@@ -268,7 +278,7 @@ def test_table_batches_fit_int64():
     # degree-4 tables holds at most 2**(63 - 55 - 3) - 1 = 31 of them: the
     # int64 bound splits the 126 tables of degree 4
     (A1, b1, _), (A2, b2, _) = random_term_pair(np.random.default_rng(53), 3, 1, 2)
-    ctx = CompositionContext(3, 1.0, A1, b1, A2, b2)
+    ctx = CompositionContext(3, A1, b1, A2, b2)
     assert_same_moments(ctx.G_vv, *ctx._v_form, ctx.bits, list(multi_indices(6, 4)))
 
 
@@ -279,6 +289,105 @@ def test_top_product_builds_only_the_tables_nonzero_parts_read():
     # dependency, as the reference does, builds 7160 and 3867
     space = VarSpace(2, 1.0)
     (t,) = dho_f(6, 6, "+", space).terms
-    ctx = CompositionContext(2, 1.0, t.expo.A, t.expo.b, t.expo.A, t.expo.b)
+    ctx = CompositionContext(2, t.expo.A, t.expo.b, t.expo.A, t.expo.b)
     ctx.compose(t.poly, t.poly)
     assert (len(ctx._mu_memo), len(ctx._mv_memo)) == (6835, 2365)
+
+
+# -- natural units -------------------------------------------------------------
+
+def direct_context(n_dof, hbar, A1, b1, A2, b2):
+    """The composition's data computed at hbar itself, kappa = 2i/hbar, with
+    the operations `CompositionContext` uses at hbar = 1: what `compose`
+    and `reference_compose` read, and A3, b3, c3_base and pref."""
+    d = 2 * n_dof
+    kappa = 2j / hbar
+    J = np.zeros((d, d))
+    J[:n_dof, n_dof:] = np.eye(n_dof)
+    J[n_dof:, :n_dof] = -np.eye(n_dof)
+    AA = np.zeros((2 * d, 2 * d), dtype=complex)
+    AA[:d, :d], AA[d:, d:] = A1, A2
+    AA[:d, d:], AA[d:, :d] = -kappa * J, -kappa * J.T
+    G = np.linalg.inv(AA)
+    B = np.zeros((2 * d, d), dtype=complex)
+    B[:d, :], B[d:, :] = -kappa * J, kappa * J
+    beta0 = np.concatenate([b1, b2])
+    T, s_vec = G @ B, G @ beta0
+    return SimpleNamespace(
+        d=d, bits=packed_bits(2 * d), G_uu=G[:d, :d], G_vv=G[d:, d:],
+        _u_form=(T[:d, :], s_vec[:d]), _v_form=(np.concatenate([T[d:, :], G[d:, :d]], axis=1), s_vec[d:]),
+        A3=sym(-B.T @ G @ B), b3=B.T @ (G @ beta0), c3_base=0.5 * beta0 @ (G @ beta0),
+        pref=(2.0 / hbar) ** d / _branch_sqrt_det(np.linalg.eigvals(AA)))
+
+
+def direct_star(f, g):
+    """f * g for Gaussian terms, every term pair composed at hbar itself by
+    the table-by-table reference."""
+    out = []
+    for t1 in f.terms:
+        for t2 in g.terms:
+            ctx = direct_context(f.space.n_dof, f.space.hbar, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
+            poly, _ = reference_compose(ctx, t1.poly, t2.poly, {}, {})
+            out.append(QGTerm(poly.scaled(ctx.pref),
+                              QuadExponent(ctx.A3, ctx.b3, ctx.c3_base + t1.expo.c + t2.expo.c)))
+    return QGFunction(f.space, out)
+
+
+FAMILY_PRODUCTS = {
+    "W4*W6": (1, lambda sp: (oscillator_wigner(4, sp), oscillator_wigner(6, sp))),
+    "W6*W6": (1, lambda sp: (oscillator_wigner(6, sp), oscillator_wigner(6, sp))),
+    "F66*F10": (2, lambda sp: (dho_f(6, 6, "+", sp), dho_f(1, 0, "+", sp))),
+    "F21*F21": (2, lambda sp: (dho_f(2, 1, "+", sp), dho_f(2, 1, "+", sp))),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_PRODUCTS)
+def test_one_context_serves_every_hbar(name, monkeypatch):
+    # the members are hbar^-N w(z / sqrt(hbar)): in natural units their
+    # exponents do not depend on hbar, so the four products share one
+    # context, and each agrees with the composition done at hbar itself.
+    # Scaled as the orthogonality check scales them: (2 pi hbar)^N f*g is
+    # f or 0, so that the vanishing products are measured too
+    cache = {}
+    monkeypatch.setattr(gausspoly, "_CTX_CACHE", cache)
+    n_dof, members = FAMILY_PRODUCTS[name]
+    for hbar in (1e-3, 0.1, 10.0, 100.0):
+        f, g = members(VarSpace(n_dof, hbar))
+        gap = (star(f, g) - direct_star(f, g)).coeff_norm()
+        assert (2 * math.pi * hbar) ** n_dof * gap <= 1e-13 * f.coeff_norm(), hbar
+    assert len(cache) == 1
+
+
+def test_fixed_width_gaussians_keep_their_own_context(monkeypatch):
+    # a Gaussian whose width does not scale with hbar has natural exponents
+    # of size hbar: at hbar = 1e-13 two widths 1e-6 apart still key two
+    # contexts, and each product is its own
+    cache = {}
+    monkeypatch.setattr(gausspoly, "_CTX_CACHE", cache)
+    space = VarSpace(1, 1e-13)
+    g = gaussian_test(space, 0.5, center=[0.3, -0.2])
+    for width in (1.0, 1.0 + 1e-6):
+        f = gaussian_test(space, width)
+        got = star(f, g)
+        assert (got - direct_star(f, g)).coeff_norm() <= 1e-13 * got.coeff_norm(), width
+    assert len(cache) == 2
+
+
+def random_function_pair(n_dof):
+    (A1, b1, P1), (A2, b2, P2) = random_term_pair(np.random.default_rng(61), n_dof, 6, 3)
+    space = VarSpace(n_dof, 1.0)
+    return (QGFunction(space, [QGTerm(P1, QuadExponent(A1, b1))]),
+            QGFunction(space, [QGTerm(P2, QuadExponent(A2, b2))]))
+
+
+@pytest.mark.parametrize("pair", [
+    lambda sp1, sp2: (oscillator_wigner(12, sp1), oscillator_wigner(12, sp1)),
+    lambda sp1, sp2: (dho_f(6, 6, "+", sp2), dho_f(1, 0, "+", sp2)),
+    lambda sp1, sp2: random_function_pair(2),
+], ids=["W12*W12", "F66*F10", "random-N2"])
+def test_hbar_one_skips_the_map(pair):
+    # at hbar = 1 every factor of the map is 1 and it is skipped: the
+    # product is, bit for bit, the composition done at hbar = 1 directly
+    f, g = pair(VarSpace(1, 1.0), VarSpace(2, 1.0))
+    got, want = star(f, g), direct_star(f, g)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gaussian, random_polynomial, w0
-from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
+from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, gaussian_test, poisson_bracket
 from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, MomentMemo,
                             integrate_partial, integrate_poly_exp, moments_poly, moments_scalar)
 from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
@@ -83,7 +83,7 @@ def test_packed_memos_match_moments_poly(space2):
     # polynomial evaluated at w is the scalar moment
     rng = np.random.default_rng(29)
     (t1,), (t2,) = random_gaussian(space2, rng).terms, random_gaussian(space2, rng).terms
-    ctx = CompositionContext(2, 1.0, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
+    ctx = CompositionContext(2, t1.expo.A, t1.expo.b, t2.expo.A, t2.expo.b)
     needed = list(multi_indices(4, 4))
     for Sigma, (lin, shift) in ((ctx.G_uu, ctx._u_form), (ctx.G_vv, ctx._v_form)):
         keys, coeffs, sizes = moments_poly(Sigma, lin, shift, ctx.bits, needed, MomentMemo())
@@ -124,7 +124,7 @@ def test_partial_integral_beyond_packing_width_raises():
 
 
 def test_composition_beyond_packing_width_raises(space2):
-    ctx = CompositionContext(2, 1.0, np.eye(4), np.zeros(4), np.eye(4), np.zeros(4))
+    ctx = CompositionContext(2, np.eye(4), np.zeros(4), np.eye(4), np.zeros(4))
     top = (1 << ctx.bits) - 1
     with pytest.raises(ValueError, match="packed"):
         ctx.compose(Poly(4, {(top, 0, 0, 0): 1.0}), Poly(4, {(0, 1, 0, 0): 1.0}))
@@ -496,6 +496,20 @@ def test_oracle_box_holds_slow_tails(space):
     narrow = _twisted_quadrature(f, g, np.array(z), 8.0, 184)
     assert abs(narrow - closed) > 1e-6 * abs(closed)
     assert abs(quadrature_star_oracle(f, g, z) - closed) <= 1e-9 * abs(closed)
+
+
+def test_oracle_resolves_the_narrowest_gaussian():
+    # at hbar = 100, W_1's Re A of 0.02 sets a half-width of 43, over which
+    # the kernel's oscillation needs 66 points per axis; the 0.9-wide
+    # Gaussian needs 6 L sqrt(1/0.81) = 286.  With the kernel's count alone
+    # the refinements (66, 92, 132) missed by 2.7e-3, 1.5e-3 and 8.8e-7
+    space = VarSpace(1, 100.0)
+    f, g = oscillator_wigner(1, space), gaussian_test(space, 0.9, center=[0.7, -0.4])
+    z = np.array([0.256, 0.551])
+    closed = star(f, g).evaluate(z)
+    L = math.sqrt(36.0 / 0.02) + 0.551
+    assert abs(_twisted_quadrature(f, g, z, L, 92) - closed) > 1e-4 * abs(closed)
+    assert abs(quadrature_star_oracle(f, g, z) - closed) <= 1e-6 * abs(closed)
 
 
 def test_oracle_grid_bound_raises_before_allocating(monkeypatch):
