@@ -23,7 +23,7 @@ from .algebra import QGFunction, VarSpace
 from .gausspoly import GaussianCompositionSingular, NonIntegrable
 from .models import (ModelId, UnsupportedPair, dho_f, dho_g, hamiltonian, oscillator_wigner,
                      spectrum, toy_resonant)
-from .star import EvolutionSingular, OracleNotConverged, quadrature_star_oracle, star
+from .star import EvolutionSingular, OracleNotConverged, damped_pair, quadrature_star_oracle, star
 from .verify import CHECK_REGISTRY, run_all
 
 log = logging.getLogger("mqds")
@@ -287,15 +287,18 @@ def cmd_oracle(args) -> int:
         pts.append(np.array(vals))
     if not pts:
         raise UsageError("no oracle points given")
-    closed_fn = star(f, g)
-    lines = ["point,closed_re,closed_im,quadrature_re,quadrature_im,rel_error"]
+    closed_fn = star(f, g)           # refuses a product that does not exist
+    f, g, eps = damped_pair(f, g)    # both sides compare the damped pair
+    if eps:
+        closed_fn = star(f, g)
+    lines = ["point,closed_re,closed_im,quadrature_re,quadrature_im,damping,rel_error"]
     for z in pts:
         closed = closed_fn.evaluate(z)
         quad = quadrature_star_oracle(f, g, z)
         rel = abs(closed - quad) / max(abs(closed), abs(quad), 1e-12)
         lines.append(",".join(["/".join(_fmt(v) for v in z),
                                _fmt(closed.real), _fmt(closed.imag),
-                               _fmt(quad.real), _fmt(quad.imag), f"{rel:.3e}"]))
+                               _fmt(quad.real), _fmt(quad.imag), _fmt(eps), f"{rel:.3e}"]))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -43,6 +43,11 @@ class EvolutionSingular(Exception):
 
 class OracleNotConverged(Exception):
     """Quadrature oracle refinements failed to settle, or its grid was too large."""
+
+
+class OracleNeedsDamping(OracleNotConverged):
+    """The pair does not decay, so its twisted integral does not converge:
+    the oracle checks the damped pair from `damped_pair` instead."""
 
 
 # the largest quadrature grid the oracle builds: a quadrature peaks near 76 B
@@ -446,44 +451,35 @@ def _twisted_quadrature(f: QGFunction, g: QGFunction, z: np.ndarray,
     return complex(val / (math.pi * hbar) ** (2 * n))
 
 
-def _rational_to_zero(xs: Sequence[float], ys: Sequence[complex]) -> complex:
-    """Bulirsch-Stoer rational extrapolation to x = 0."""
-    m = len(xs)
-    c = list(ys)
-    d = list(ys)
-    est = ys[0]
-    for k in range(1, m):
-        new_c = [0j] * (m - k)
-        new_d = [0j] * (m - k)
-        for j in range(m - k):
-            ratio = xs[j] / xs[j + k]
-            diff = c[j + 1] - d[j]
-            den = ratio * d[j] - c[j + 1]
-            if den == 0:
-                new_c[j], new_d[j] = c[j + 1], d[j]
-            else:
-                new_c[j] = ratio * d[j] * diff / den
-                new_d[j] = c[j + 1] * diff / den
-        est = est + new_c[0]
-        c, d = new_c, new_d
-    return est
+def damped_pair(f: QGFunction, g: QGFunction) -> Tuple[QGFunction, QGFunction, float]:
+    """The pair the oracle can check in place of (f, g), and its damping eps.
 
-
-_ORACLE_EPS_LADDER = (0.4, 0.3, 0.22, 0.16, 0.12, 0.09, 0.07, 0.055, 0.045)
+    A decaying pair is its own (eps = 0); so is a growing one, which the
+    oracle refuses.  Otherwise (polynomials, pure phases) both factors are
+    damped to f e^{-eps |z|^2}, g e^{-eps |z|^2} with eps = 0.4 / hbar, in
+    natural units, so that at z = sqrt(hbar) u the oracle's grid is the same
+    at every hbar.  An N = 2 pair that does not decay is refused here,
+    before any grid is built.
+    """
+    floor = _decay_rates(f, g)[0]
+    if not -1e-10 <= floor <= 1e-8:
+        return f, g, 0.0
+    if f.space.n_dof == 2:
+        raise OracleNotConverged("oscillatory N=2 grid would be too large")
+    eps = 0.4 / f.space.hbar
+    return _dampened(f, eps), _dampened(g, eps), eps
 
 
 def quadrature_star_oracle(f: QGFunction, g: QGFunction, z) -> complex:
     """Evaluate (f*g)(z) by quadrature of the twisted-product integral.
 
-    Independent of the closed-form composition: pure grid sums.  Strictly
-    decaying pairs are integrated directly with grid refinement.  Merely
-    oscillatory pairs (polynomials, pure phases) are damped by
-    exp(-eps |z|^2) and rational-extrapolated in eps; the damped values are
-    (det-root) x exp of rational functions of eps, which Bulirsch-Stoer
-    extrapolation reproduces to well below the acceptance threshold.
-    Raises OracleNotConverged when refinements or extrapolants disagree
-    beyond 1e-5 relative, the integrand grows on the real domain or a grid
-    would exceed ORACLE_MAX_GRID_POINTS.
+    Independent of the closed-form composition: pure grid sums, refined once
+    or twice on a box that holds the tails.  Only decaying pairs converge; a
+    pair that merely oscillates (polynomials, pure phases) raises
+    OracleNeedsDamping, and is checked through `damped_pair` against the
+    closed form of the damped pair.  Raises OracleNotConverged when
+    refinements disagree beyond 1e-5 relative, the integrand grows on the
+    real domain or a grid would exceed ORACLE_MAX_GRID_POINTS.
     """
     if f.space.n_dof > 2:
         raise ValueError("oracle supports N <= 2")
@@ -491,37 +487,23 @@ def quadrature_star_oracle(f: QGFunction, g: QGFunction, z) -> complex:
     floor, top = _decay_rates(f, g)
     if floor < -1e-10:
         raise OracleNotConverged("integrand grows on the truncated grid (Re A indefinite)")
+    if floor <= 1e-8:
+        raise OracleNeedsDamping("the pair does not decay: compare damped_pair(f, g) instead")
 
-    if floor > 1e-8:
-        # honest Gaussian decay: box wide enough for the tails, grid fine
-        # enough for the twisted kernel's oscillation across the box and for
-        # the narrowest Gaussian
-        L = max(4.0, math.sqrt(36.0 / floor) + float(np.abs(z).max()))
-        if f.space.n_dof == 2:
-            # time: the kernel contraction holds P^4 tensors
-            counts = (44, 52)
-        else:
-            pts = max(48, int(4.6 * L * L / (math.pi * f.space.hbar)) + 40,
-                      int(6.0 * L * math.sqrt(top))) // 2 * 2
-            counts = (pts, int(pts * 1.4) // 2 * 2, 2 * pts)
-        prev = None
-        for points in counts:
-            val = _twisted_quadrature(f, g, z, L, points)
-            if prev is not None and abs(val - prev) <= 1e-5 * max(abs(val), 1e-9):
-                return val
-            prev = val
-        raise OracleNotConverged("grid refinements disagree")
-
+    # box wide enough for the tails, grid fine enough for the twisted
+    # kernel's oscillation across the box and for the narrowest Gaussian
+    L = math.sqrt(36.0 / floor) + float(np.abs(z).max())
     if f.space.n_dof == 2:
-        raise OracleNotConverged("oscillatory N=2 grid would be too large")
-    hbar = f.space.hbar
-    vals = []
-    for eps in _ORACLE_EPS_LADDER:
-        L = math.sqrt(25.0 / eps)
-        pts = (int(4.6 * L * L / (math.pi * hbar)) + 60) // 2 * 2
-        vals.append(_twisted_quadrature(_dampened(f, eps), _dampened(g, eps), z, L, pts))
-    full = _rational_to_zero(_ORACLE_EPS_LADDER, vals)
-    drop = _rational_to_zero(_ORACLE_EPS_LADDER[:-1], vals[:-1])
-    if abs(full - drop) > 1e-5 * max(1.0, abs(full)):
-        raise OracleNotConverged("eps-extrapolation unstable")
-    return full
+        # time: the kernel contraction holds P^4 tensors
+        counts = (44, 52)
+    else:
+        pts = max(48, int(4.6 * L * L / (math.pi * f.space.hbar)) + 40,
+                  int(6.0 * L * math.sqrt(top))) // 2 * 2
+        counts = (pts, int(pts * 1.4) // 2 * 2, 2 * pts)
+    prev = None
+    for points in counts:
+        val = _twisted_quadrature(f, g, z, L, points)
+        if prev is not None and abs(val - prev) <= 1e-5 * max(abs(val), 1e-9):
+            return val
+        prev = val
+    raise OracleNotConverged("grid refinements disagree")

@@ -1,5 +1,6 @@
 """CLI contracts: subcommands, formats, exit codes, byte stability."""
 
+import importlib
 import json
 import math
 import subprocess
@@ -8,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from mqds import VarSpace, dho_f, oscillator_wigner
-from mqds.cli import _json_with_values, main
+from mqds import QGFunction, VarSpace, damped_pair, dho_f, oscillator_wigner, star
+from mqds.cli import _fmt, _json_with_values, main
 
 
 def run_cli(*args, timeout=300):
@@ -235,15 +236,22 @@ def test_verify_byte_stable():
 
 
 def test_oracle_x_p_table():
-    r = run_cli("oracle", "--f", "x", "--g", "p", "--points", "1,1")
-    assert r.returncode == 0
-    lines = r.stdout.strip().splitlines()
-    assert lines[0] == "point,closed_re,closed_im,quadrature_re,quadrature_im,rel_error"
-    fields = lines[1].split(",")
-    assert float(fields[1]) == pytest.approx(1.0)
-    assert float(fields[2]) == pytest.approx(0.5)
-    assert float(fields[3]) == pytest.approx(1.0, abs=1e-5)
-    assert float(fields[4]) == pytest.approx(0.5, abs=1e-5)
+    # x and p do not decay: both columns hold the damped pair's product,
+    # x e^{-eps|z|^2} * p e^{-eps|z|^2} with eps = 0.4 / hbar
+    for hbar in (1.0, 2.0):
+        r = run_cli("oracle", "--f", "x", "--g", "p", "--points", "1,1", "--hbar", str(hbar))
+        assert r.returncode == 0
+        lines = r.stdout.strip().splitlines()
+        assert lines[0] == "point,closed_re,closed_im,quadrature_re,quadrature_im,damping,rel_error"
+        assert len(lines) == 2
+        fields = lines[1].split(",")
+        space = VarSpace(1, hbar)
+        f, g, eps = damped_pair(QGFunction.coordinate(space, 0), QGFunction.coordinate(space, 1))
+        closed = star(f, g).evaluate([1.0, 1.0])
+        assert float(fields[5]) == eps == 0.4 / hbar
+        assert complex(float(fields[1]), float(fields[2])) == closed
+        assert abs(complex(float(fields[3]), float(fields[4])) - closed) <= 1e-12 * abs(closed)
+        assert float(fields[6]) <= 1e-12
 
 
 def test_oracle_w0_idempotency():
@@ -251,7 +259,27 @@ def test_oracle_w0_idempotency():
     assert r.returncode == 0
     fields = r.stdout.strip().splitlines()[1].split(",")
     assert float(fields[1]) == pytest.approx(1.0 / (2 * math.pi ** 2), rel=1e-10)
-    assert float(fields[5]) < 1e-6
+    assert fields[5] == "0"
+    assert float(fields[6]) < 1e-6
+
+
+@pytest.mark.parametrize("point", ["-0.006,-0.2313", "-0.0346,-0.7071"])
+def test_oracle_x_star_x_near_its_zero(point, tmp_path):
+    # x*x = x^2 is small at these points: a quadrature extrapolated to
+    # eps = 0 missed them by 4.8e-6 and 1.2e-6 relative
+    out = tmp_path / "out.csv"
+    assert main(["oracle", "--f", "x", "--g", "x", f"--points={point}", "--out", str(out)]) == 0
+    fields = out.read_text().splitlines()[1].split(",")
+    assert fields[5] == _fmt(0.4)
+    assert float(fields[-1]) <= 1e-12
+
+
+def test_oscillatory_two_dof_oracle_is_refused_before_a_grid(monkeypatch):
+    def no_rule(points):
+        raise AssertionError(f"a {points}-point rule was built")
+
+    monkeypatch.setattr(importlib.import_module("mqds.star"), "gauss_legendre", no_rule)
+    assert main(["oracle", "--ndof", "2", "--f", "F00+", "--g", "F00+", "--points", "0,0,0,0"]) == 4
 
 
 def test_oracle_g00_exit_code():
@@ -260,8 +288,8 @@ def test_oracle_g00_exit_code():
 
 
 def test_oracle_grid_bound_exit_code():
-    # W0*W0 at hbar = 1e-3 needs a 23466^2 grid: refused before it is built
-    assert main(["oracle", "--f", "W0", "--g", "W0", "--points", "0,0", "--hbar", "0.001"]) == 4
+    # W0*W0 at hbar = 1e-3 and z = (0, 2) needs a 6708^2 grid: refused before it is built
+    assert main(["oracle", "--f", "W0", "--g", "W0", "--points", "0,2", "--hbar", "0.001"]) == 4
 
 
 SPECTRUM = ["spectrum", "--model", "oscillator", "--max-n", "0"]
@@ -327,7 +355,7 @@ def test_oracle_json_function_input(tmp_path):
     r = run_cli("oracle", "--f", f"@{path}", "--g", "W0", "--points", "0.2,-0.1")
     assert r.returncode == 0
     fields = r.stdout.strip().splitlines()[1].split(",")
-    assert float(fields[5]) < 1e-6
+    assert float(fields[-1]) < 1e-6
 
 
 def test_io_error_exit_code():

@@ -19,9 +19,9 @@ from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, Mom
                             integrate_partial, integrate_poly_exp, moments_poly, moments_scalar)
 from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
 from mqds.poly import Poly, multi_factorial, multi_indices
-from mqds.star import (EvolutionSingular, OracleNotConverged, _dampened,
+from mqds.star import (EvolutionSingular, OracleNeedsDamping, OracleNotConverged, _dampened,
                        _series_term_pair, _twisted_kernel, _twisted_quadrature,
-                       classical_flow_matrix, evolve, gauss_legendre, moyal_bracket,
+                       classical_flow_matrix, damped_pair, evolve, gauss_legendre, moyal_bracket,
                        quadrature_star_oracle, star, star_exp_closed,
                        star_exp_closed_taylor, star_exp_series)
 
@@ -439,10 +439,15 @@ def test_evolved_gaussian_center_rotates(space):
 # -- quadrature oracle -----------------------------------------------------------
 
 def test_oracle_x_star_p(space):
+    # x and p do not decay: the oracle checks x e^{-0.4|z|^2} * p e^{-0.4|z|^2}
     x = QGFunction.coordinate(space, 0)
     p = QGFunction.coordinate(space, 1)
-    val = quadrature_star_oracle(x, p, [1.0, 1.0])
-    assert val == pytest.approx(1.0 + 0.5j, abs=2e-6)
+    with pytest.raises(OracleNeedsDamping, match="damped_pair"):
+        quadrature_star_oracle(x, p, [1.0, 1.0])
+    f, g, eps = damped_pair(x, p)
+    assert eps == 0.4
+    closed = star(f, g).evaluate([1.0, 1.0])
+    assert abs(quadrature_star_oracle(f, g, [1.0, 1.0]) - closed) <= 1e-12 * abs(closed)
 
 
 def test_oracle_w0_idempotency_value(space):
@@ -513,7 +518,8 @@ def test_oracle_resolves_the_narrowest_gaussian():
 
 
 def test_oracle_grid_bound_raises_before_allocating(monkeypatch):
-    # W0*W0 at hbar = 1e-3 asks for a 23466^2 grid, about 42 GB at the peak
+    # W0*W0 at hbar = 1e-3 and z = (0, 2), 63 widths of W0 from the origin,
+    # asks for a 6708^2 grid, about 3.4 GB at the peak
     space = VarSpace(1, 1e-3)
     W0 = oscillator_wigner(0, space)
 
@@ -521,8 +527,8 @@ def test_oracle_grid_bound_raises_before_allocating(monkeypatch):
         raise AssertionError(f"a {points}-point rule was built")
 
     monkeypatch.setattr(importlib.import_module("mqds.star"), "gauss_legendre", no_rule)
-    with pytest.raises(OracleNotConverged, match=r"23466\^2 .* grid bound of 16777216 points"):
-        quadrature_star_oracle(W0, W0, [0.0, 0.0])
+    with pytest.raises(OracleNotConverged, match=r"6708\^2 .* grid bound of 16777216 points"):
+        quadrature_star_oracle(W0, W0, [0.0, 2.0])
     unit = w0(VarSpace(1, 1.0))
     with pytest.raises(OracleNotConverged, match="grid bound"):
         _twisted_quadrature(unit, unit, np.zeros(2), 8.0, 4098)     # 4098^2 > 2^24
@@ -586,8 +592,8 @@ def nested_kernel_quadrature(f, g, z, halfwidth, points):
 
 
 def test_axis_loop_keeps_the_top_ladder_rung_exact():
-    # the hbar = 0.5 eps-ladder's last rung, P = 1686: the axis loop gives the
-    # nested N = 1 calls' value bit for bit
+    # a large N = 1 grid, P = 1686 on a box of half-width 23.6 at hbar = 0.5:
+    # the axis loop gives the nested N = 1 calls' value bit for bit
     space = VarSpace(1, 0.5)
     x = _dampened(QGFunction.coordinate(space, 0), 0.045)
     L = math.sqrt(25.0 / 0.045)
@@ -624,8 +630,40 @@ def test_axis_loop_matches_einsum_at_two_dof(points):
 
 
 def test_oracle_x_star_x(space):
-    x = QGFunction.coordinate(space, 0)
-    assert quadrature_star_oracle(x, x, [0.3, -0.2]) == pytest.approx(0.09, abs=2e-6)
+    f, g, eps = damped_pair(QGFunction.coordinate(space, 0), QGFunction.coordinate(space, 0))
+    closed = star(f, g).evaluate([0.3, -0.2])
+    assert abs(quadrature_star_oracle(f, g, [0.3, -0.2]) - closed) <= 1e-12 * abs(closed)
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+def test_damped_oracle_agrees_at_every_hbar(hbar):
+    # one damping in natural units, eps = 0.4 / hbar, at z = sqrt(hbar) u:
+    # the same grid at every hbar, and agreement to roundoff
+    space = VarSpace(1, hbar)
+    x, p = QGFunction.coordinate(space, 0), QGFunction.coordinate(space, 1)
+    Fp, Fm = toy_resonant(0, "+", space), toy_resonant(0, "-", space)
+    for f, g in ((x, x), (x, p), (p, x), (Fp, Fp), (Fm, Fm)):
+        df, dg, eps = damped_pair(f, g)
+        assert eps == 0.4 / hbar
+        for u in ([0.3, -0.7], [-0.006, -0.2313], [1.0, 0.0]):
+            z = math.sqrt(hbar) * np.array(u)
+            closed = star(df, dg).evaluate(z)
+            assert abs(quadrature_star_oracle(df, dg, z) - closed) <= 1e-12 * abs(closed)
+
+
+def test_damped_pair_leaves_decaying_and_growing_pairs(space, space2):
+    W0 = w0(space)
+    f, g, eps = damped_pair(W0, W0)
+    assert f is W0 and g is W0 and eps == 0.0
+    A = np.zeros((4, 4))
+    A[0, 3] = A[3, 0] = -2.0
+    A[1, 2] = A[2, 1] = 2.0
+    G00 = QGFunction.from_exponent(space2, A)
+    f, g, eps = damped_pair(G00, G00)
+    assert f is G00 and g is G00 and eps == 0.0
+    x = QGFunction.coordinate(space2, 0)
+    with pytest.raises(OracleNotConverged, match="oscillatory N=2"):
+        damped_pair(x, x)
 
 
 def test_folded_kernel_odd_point_count_raises(space):
