@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Sequence, Tuple
+import weakref
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .poly import Exponent, Poly, check_packed_degree, merge, pack, packed_bits, unpack
+from .poly import Exponent, Poly, check_packed_degree, merge, merge_index, pack, packed_bits, unpack
 
 _EIG_TOL = 1e-12
 # Products per merge of the composition's kappa terms: one sort over many
@@ -113,53 +114,197 @@ def moments_scalar(Sigma: np.ndarray, mu: np.ndarray, needed: Sequence[Exponent]
     return {a: get(tuple(a)) for a in needed}
 
 
+class _Store:
+    """Append-only arrays that a chain of `_Layout`s shares, each reading a
+    prefix: the keys of the tables' entries, and per table its packed alpha,
+    first entry and size (the rows of `tables`).  `size` and `count` are
+    the filled lengths."""
+
+    __slots__ = ("keys", "tables", "size", "count")
+
+    def __init__(self, keys: np.ndarray, tables: np.ndarray, size: int, count: int) -> None:
+        self.keys, self.tables, self.size, self.count = keys, tables, size, count
+
+
+def _grown(array: np.ndarray, n: int) -> np.ndarray:
+    """A copy of `array` with room for at least n along its last axis (doubled,
+    so that each entry is copied O(1) times)."""
+    out = np.empty(array.shape[:-1] + (max(2 * array.shape[-1], n),), dtype=array.dtype)
+    out[..., :array.shape[-1]] = array
+    return out
+
+
+class _Layout:
+    """A state of the memos of one plan: the tables they hold, in the order
+    they were built (the first `count` rows of the store's tables), and
+    the keys of their entries (the first `size`).  On the states that
+    first requests reach, `builds` maps a degree's tables to build (their
+    packed alphas as bytes) to the step that builds them and the state
+    after it, which requests that build the same tables share.  `sorted`,
+    if set, is `index()`; `_compile` keeps it on the state a program ends
+    in."""
+
+    __slots__ = ("store", "size", "count", "builds", "sorted")
+
+    def __init__(self, store: _Store, size: int, count: int) -> None:
+        self.store, self.size, self.count = store, size, count
+        self.builds: Dict[bytes, Tuple[_Step, _Layout]] = {}
+        self.sorted: np.ndarray | None = None
+
+    def index(self) -> np.ndarray:
+        """Rows alpha, start, size of the tables held, sorted by alpha."""
+        if self.sorted is not None:
+            return self.sorted
+        tables = self.store.tables[:, :self.count]
+        # a sorted run per degree built, which the stable sort merges
+        return tables[:, tables[0].argsort(kind="stable")]
+
+    def extend(self, keys: np.ndarray, tables: np.ndarray) -> "_Layout":
+        """This layout followed by the tables `tables` and their entries' `keys`."""
+        store = self.store
+        if (store.size, store.count) != (self.size, self.count):
+            # another layout extends this one already: the new one gets its own store
+            store = _Store(store.keys[:self.size], store.tables[:, :self.count], self.size, self.count)
+        size, count = self.size + len(keys), self.count + tables.shape[1]
+        if size > len(store.keys):
+            store.keys = _grown(store.keys[:self.size], size)
+        if count > store.tables.shape[1]:
+            store.tables = _grown(store.tables[:, :self.count], count)
+        store.keys[self.size:size] = keys
+        store.tables[:, self.count:count] = tables
+        store.size, store.count = size, count
+        return _Layout(store, size, count)
+
+
+class _Merge:
+    """The merge of one degree's keys (see `_merge_tables`): the tables'
+    rows (alpha, first entry counted from the degree's, size), where their
+    `size` keys sit (at `lo` in the `store` of the layout first built with
+    them),
+    and each product's target, as `inv` (product k adds to entry inv[k])
+    until a step replays, then as `pairs` (see `_paired`), so that one
+    bincount adds both parts of each product."""
+
+    __slots__ = ("tables", "size", "store", "lo", "inv", "pairs")
+
+    def __init__(self, tables: np.ndarray, size: int, store: _Store | None, lo: int, inv: np.ndarray) -> None:
+        self.tables, self.size, self.store, self.lo, self.inv = tables, size, store, lo, inv
+        self.pairs: np.ndarray | None = None
+
+    def keys(self) -> np.ndarray:
+        """The tables' keys, concatenated."""
+        return self.store.keys[self.lo:self.lo + self.size]
+
+
+class _Step:
+    """How one degree's tables are built: the entries the parts read (`at`),
+    each part's weight (index into the flattened weights, integer factor)
+    and how many entries it reads, the merge that gives each product's
+    target, and the degree's entries [lo, hi)."""
+
+    __slots__ = ("at", "widx", "factors", "sizes", "merge", "lo", "hi")
+
+    def __init__(self, at: np.ndarray, widx: np.ndarray, factors: np.ndarray, sizes: np.ndarray,
+                 merge: _Merge, lo: int, hi: int) -> None:
+        self.at, self.widx, self.factors, self.sizes = at, widx, factors, sizes
+        self.merge, self.lo, self.hi = merge, lo, hi
+
+    def run(self, weights: np.ndarray, coeffs: np.ndarray, replay: bool = True) -> None:
+        """Compute the degree's coefficients from the lower ones in `coeffs`;
+        `replay` unless the step was just built."""
+        products = np.repeat(weights[self.widx] * self.factors, self.sizes) * coeffs[self.at]
+        n, merge = self.hi - self.lo, self.merge
+        if merge.pairs is None and replay:
+            merge.pairs, merge.inv = _paired(merge.inv), None
+        if merge.pairs is not None:
+            coeffs[self.lo:self.hi] = np.bincount(merge.pairs, products.view(float), 2 * n).view(complex)
+        else:
+            level = coeffs[self.lo:self.hi]
+            level.real = np.bincount(merge.inv, products.real, n)
+            level.imag = np.bincount(merge.inv, products.imag, n)
+
+
+def _paired(inv: np.ndarray) -> np.ndarray:
+    """The targets 2 inv and 2 inv + 1 of each product's real and imaginary
+    parts, viewed as two floats, interleaved (int32 while they fit, to
+    halve what a plan keeps)."""
+    pairs = np.empty((len(inv), 2), dtype=np.int32 if len(inv) < 1 << 30 else np.intp)
+    np.multiply(inv, 2, out=pairs[:, 0], casting="unsafe")
+    np.add(pairs[:, 0], 1, out=pairs[:, 1])
+    return pairs.ravel()
+
+
+class _Program(NamedTuple):
+    """What `moments_poly` does for one request from one state: the `_Step`
+    per degree built, the state after (None if unchanged), and per
+    requested table its first entry less its place in the result, and its
+    size, and the result's size."""
+
+    levels: List[_Step]
+    layout: _Layout | None
+    bases: np.ndarray
+    sizes: np.ndarray
+    total: int
+
+
+class MomentPlan:
+    """The structure of the moment recursion for one sparsity pattern: the
+    slot masks and ones of `_slots` restricted to the live weights, and the
+    root state, which holds E[z^0] = 1 at entry 0.  Which tables a request
+    builds, their keys and the order of every sum depend only on the
+    pattern, so the memos of every (Sigma, lin, shift) with that pattern
+    share the plan, and each memo adds only its numbers.
+
+    The plan keeps what a memo's first request, from the root, compiles:
+    the `_Program` per request (`needed` as bytes), the steps and states on
+    the way (`_Layout.builds`), and per set of tables of one degree (packed
+    alphas as bytes) their parts (`walks`, see `_parts`) and the merge of
+    their keys (`merges`, see `_merge_tables`).  The memos of other
+    contexts with the pattern repeat these.  A memo's later requests, from
+    states that depend on all its earlier ones, are compiled, run and
+    dropped, so that what the plan keeps does not grow with a memo's
+    history."""
+
+    __slots__ = ("masks", "ones", "root", "programs", "walks", "merges", "__weakref__")
+
+    def __init__(self, masks: np.ndarray, ones: np.ndarray) -> None:
+        self.masks, self.ones = masks, ones
+        tables = np.zeros((3, 64), dtype=np.int64)
+        tables[2, 0] = 1
+        self.root = _Layout(_Store(np.zeros(256, dtype=np.int64), tables, 1, 1), 1, 1)
+        self.programs: Dict[bytes, _Program] = {}
+        self.walks: Dict[bytes, Tuple[np.ndarray, ...]] = {}
+        self.merges: Dict[bytes, _Merge] = {}
+
+
+# held weakly: a plan lives as long as a memo that uses it
+_PLANS: "weakref.WeakValueDictionary[tuple, MomentPlan]" = weakref.WeakValueDictionary()
+
+
 class MomentMemo:
     """The moment tables `moments_poly` has built for one (Sigma, lin, shift).
 
-    A table is keyed by its exponent alpha packed into an int,
-    `packed_bits(dim)` bits per variable.  The entries of every table sit in
-    the flat arrays `keys` and `coeffs`, of which the first `used` are
-    filled; the rows of `index` are the tables' packed alphas, sorted, and
-    each one's start and size there.  `parts` holds the recursion's slot
-    masks and weights (see `_slots`), derived from (Sigma, lin, shift) on
-    first use, when E[z^0] = 1 is stored.
+    On first use the memo takes the plan of its sparsity pattern, the root
+    state as `layout`, and `weights`, the recursion's weights flattened per
+    last index i and slot (see `_slots`).  It keeps only the coefficients
+    of its tables, in the order of `layout`, which says which tables it
+    holds and where their entries sit.
     """
 
     def __init__(self) -> None:
-        self.keys = np.zeros(256, dtype=np.int64)
+        self.plan: MomentPlan | None = None
+        self.layout: _Layout | None = None
+        self.weights: np.ndarray | None = None
         self.coeffs = np.ones(256, dtype=complex)
-        self.used = 0
-        self.index = np.zeros((3, 0), dtype=np.int64)
-        self.parts: Tuple[np.ndarray, ...] | None = None
 
     def __len__(self) -> int:
-        return self.index.shape[1]
+        return 0 if self.layout is None else self.layout.count
 
-    def add(self, alphas: np.ndarray, keys: np.ndarray, coeffs: np.ndarray, bounds: np.ndarray) -> None:
-        """Store the tables `alphas`: table n holds entries bounds[n] to bounds[n + 1]."""
-        at, end = self.used, self.used + len(keys)
-        if end > len(self.keys):
-            # grown by doubling, so each entry is copied O(1) times
-            size = max(2 * len(self.keys), end)
-            grown = np.empty(size, dtype=np.int64), np.empty(size, dtype=complex)
-            grown[0][:at], grown[1][:at] = self.keys[:at], self.coeffs[:at]
-            self.keys, self.coeffs = grown
-        self.keys[at:end] = keys
-        self.coeffs[at:end] = coeffs
-        self.used = end
-        index = np.empty((3, len(alphas)), dtype=np.int64)
-        index[0], index[1], index[2] = alphas, bounds[:-1] + at, bounds[1:] - bounds[:-1]
-        index = np.concatenate((self.index, index), axis=1)
-        self.index = index[:, index[0].argsort()]
-
-    def find(self, alphas: np.ndarray) -> np.ndarray:
-        """Starts and sizes of the stored tables `alphas`, as two rows."""
-        return self.index[1:, self.index[0].searchsorted(alphas)]
-
-
-# the index of a memo holding only E[z^0] = 1, at entry 0
-_FIRST_TABLE = np.array([[0], [0], [1]], dtype=np.int64)
-_FIRST_TABLE.flags.writeable = False
+    def reserve(self, size: int) -> np.ndarray:
+        """The coefficients, with room for `size` of them."""
+        if len(self.coeffs) < size:
+            self.coeffs = _grown(self.coeffs, size)
+        return self.coeffs
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,6 +339,20 @@ def _slots(dim: int, nw: int, bits: int) -> Tuple[np.ndarray, ...]:
     return slots
 
 
+def _plan(dim: int, nw: int, bits: int, weights: np.ndarray) -> MomentPlan:
+    """The shared plan of the pattern (dim, nw, bits, which weights are live)."""
+    _, _, _, slot_masks, slot_ones, _, applies = _slots(dim, nw, bits)
+    # per last index i, a slot's factor ((beta >> shift) & mask) | one is 1
+    # on a mean slot, beta_j on a Sigma slot, and 0 where the slot cannot
+    # apply or its weight is exactly zero
+    live = (weights != 0) & applies
+    key = (dim, nw, bits, live.tobytes())
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = MomentPlan(slot_masks * live, slot_ones * live)
+    return plan
+
+
 def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: int,
                  needed: np.ndarray, memo: MomentMemo) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moment tables E[z^alpha] whose mean is affine in other variables w.
@@ -204,36 +363,63 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
     polynomials in w with `bits` per variable, and the caller keeps every
     exponent below 2**bits.  `needed` holds exponents alpha as rows; the
     result is (keys, coeffs, sizes): their tables concatenated in that
-    order, and each one's size.  `memo` may be shared across calls with
-    identical (Sigma, lin, shift).
+    order, and each one's size (read-only).  `memo` may be shared across
+    calls with identical (Sigma, lin, shift).
+
+    A request runs the program that `_compile` makes, which the plan keeps
+    for a memo's first request (see `MomentPlan`): which tables to build
+    and, per total degree, which entries each product reads, with which
+    weight, and where it adds.  Running it takes, per degree, one gather
+    of the entries read, one product with the part weights, one bincount
+    and one store.  A table keeps every key that a part of the recursion
+    reaches, also where the coefficient cancels to exactly 0, so that its
+    keys do not depend on the numbers: callers merge the tables into their
+    products and drop those zeros there.  The zeros add only +-0 to other
+    sums, whose bincounts start at +0, so every other coefficient is
+    bit-identical to the table-by-table recursion.
+    """
+    dim, nw = lin.shape
+    needed = np.array(needed, dtype=np.int64).reshape(-1, dim)
+    if memo.plan is None:
+        weights = np.concatenate((lin, shift[:, None], Sigma), axis=1).astype(complex)
+        memo.plan = _plan(dim, nw, bits, weights)
+        memo.layout, memo.weights = memo.plan.root, weights.ravel()
+    plan = memo.plan
+    program = plan.programs.get(needed.tobytes()) if memo.layout is plan.root else None
+    if program is None:
+        program = _compile(memo, nw, bits, needed)
+    elif program.layout is not None:
+        coeffs = memo.reserve(program.layout.size)
+        for step in program.levels:
+            step.run(memo.weights, coeffs)
+        memo.layout = program.layout
+    at = np.repeat(program.bases, program.sizes) + np.arange(program.total)
+    return memo.layout.store.keys[at], memo.coeffs[at], program.sizes
+
+
+def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Program:
+    """The program that builds the tables `needed` asks for and the memo
+    lacks, run on the memo.  It reads what the plan keeps, and adds to it
+    when the memo is at the root.
 
     A part of the recursion whose weight is exactly zero adds nothing, so
     it is skipped, and so is the table it would read.  The missing tables
     are found a total degree at a time from the top (degree L reads L - 1
     for its mean parts and L - 2 for its Sigma parts), then built from the
-    bottom: a degree's parts go through one gather and one merge, keyed by
-    (table, key), in the order of the table-by-table recursion.
+    bottom, a degree at a time.
     """
-    dim, nw = lin.shape
-    units, slot_units, shifts, slot_masks, slot_ones, offsets, applies = _slots(dim, nw, bits)
-    needed = np.array(needed, dtype=np.int64).reshape(-1, dim)
+    plan, layout = memo.plan, memo.layout
+    keep = layout is plan.root
+    dim = needed.shape[1]
     degrees = needed.sum(axis=1)
     counts = np.bincount(degrees).tolist()
     check_packed_degree(len(counts) - 1, packed_bits(dim), dim)
-    alphas = needed @ units
-    if memo.parts is None:
-        # per last index i, a slot's factor ((beta >> shift) & mask) | one is 1
-        # on a mean slot, beta_j on a Sigma slot, and 0 where the slot cannot
-        # apply or its weight is exactly zero
-        weights = np.concatenate((lin, shift[:, None], Sigma), axis=1).astype(complex)
-        live = (weights != 0) & applies
-        memo.parts = slot_masks * live, slot_ones * live, weights
-        memo.used, memo.index = 1, _FIRST_TABLE
-    masks, ones, weights = memo.parts
+    alphas = needed @ _slots(dim, nw, bits)[0]
+    index = layout.index()
 
-    # the walk: per degree from the top, the tables to build and their parts
+    # the walk: per degree from the top, the tables to build
     want: Dict[int, list] = {}
-    plan = []
+    walk = []
     for level in range(len(counts) - 1, 0, -1):
         cand = want.pop(level, [])
         if counts[level]:
@@ -241,44 +427,118 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
         if not cand:
             continue
         cand = np.unique(np.concatenate(cand))
-        have = memo.index[0]
+        have = index[0]
         cand = cand[have.take(have.searchsorted(cand), mode="clip") != cand]
         if not len(cand):
             continue
-        last = units.searchsorted(cand, "right") - 1
-        beta = cand - units[last]
-        factors = ((beta[:, None] >> shifts) & masks[last]) | ones[last]
-        t, slot = factors.nonzero()
-        src = beta[t] - slot_units[slot]
-        deep = slot > nw
-        plan.append((level, cand, t, weights[last[t], slot] * factors[t, slot], offsets[slot], src))
-        want.setdefault(level - 1, []).append(src[~deep])
-        want.setdefault(level - 2, []).append(src[deep])
+        key = cand.tobytes()
+        parts = plan.walks.get(key)
+        if parts is None:
+            parts = _parts(plan, nw, bits, cand)
+            if keep:
+                plan.walks[key] = parts
+        walk.append((level, key, cand, parts))
+        want.setdefault(level - 1, []).append(parts[-2])
+        want.setdefault(level - 2, []).append(parts[-1])
 
-    # a degree-L table has degree <= L in w, so its keys stay below L << top;
-    # a merge's keys carry the table's place in it from bit `width` up, and a
-    # merge holds `cap` tables
+    # a degree-L table has degree <= L in w, so its keys stay below L << top
     top = bits * max(nw - 1, 0)
-    for level, cand, t, part_weights, part_offsets, src in reversed(plan):
-        starts, sizes = memo.find(src)
-        width = top + level.bit_length()
-        cap = (1 << (63 - width)) - 1
-        at = _entries(starts, sizes)
-        keys = memo.keys[at] + np.repeat(((t % cap) << width) + part_offsets, sizes)
-        coeffs = np.repeat(part_weights, sizes) * memo.coeffs[at]
-        firsts = [*range(0, len(cand), cap), len(cand)]
-        edges = np.concatenate(([0], sizes.cumsum()))[t.searchsorted(firsts)].tolist()
-        for lo, hi, f0, f1 in zip(edges, edges[1:], firsts, firsts[1:]):
-            # the parts are sorted runs, which the stable sort merges
-            batch_keys, batch_coeffs = merge(keys[lo:hi], coeffs[lo:hi], kind="stable")
-            tables = cand[f0:f1]
-            bounds = batch_keys.searchsorted(np.arange(f1 - f0 + 1) << width)
-            batch_keys &= (1 << width) - 1
-            memo.add(tables, batch_keys, batch_coeffs, bounds)
+    start, steps = layout, []
+    for level, key, cand, (t, widx, factors, part_offsets, src, _, _) in reversed(walk):
+        built = layout.builds.get(key)
+        replay = built is not None
+        if not replay:
+            if index is None:
+                index = layout.index()
+            starts, sizes = index[1:, index[0].searchsorted(src)]
+            at = _entries(starts, sizes)
+            lo, merge = layout.size, plan.merges.get(key)
+            if merge is None:
+                keys, inv, tables = _merge_tables(layout.store.keys[at], t, part_offsets, sizes,
+                                                  cand, top + level.bit_length())
+                merge = _Merge(tables, len(keys), None, lo, inv)
+            else:
+                keys = merge.keys()
+            tables = merge.tables.copy()
+            tables[1] += lo
+            built = _Step(at, widx, factors, sizes, merge, lo, lo + merge.size), layout.extend(keys, tables)
+            if merge.store is None:
+                merge.store = built[1].store
+                if keep:
+                    plan.merges[key] = merge
+            if keep:
+                layout.builds[key] = built
+            index = np.concatenate((index, tables), axis=1)
+            index = index[:, index[0].argsort(kind="stable")]     # two sorted runs
+        else:
+            index = None
+        step, layout = built
+        step.run(memo.weights, memo.reserve(layout.size), replay)
+        steps.append(step)
 
-    starts, sizes = memo.find(alphas)
-    at = _entries(starts, sizes)
-    return memo.keys[at], memo.coeffs[at], sizes
+    if index is None:
+        index = layout.index()
+    layout.sorted, memo.layout = index, layout
+    starts, sizes = index[1:, index[0].searchsorted(alphas)]
+    sizes.flags.writeable = False
+    ends = sizes.cumsum()
+    program = _Program(steps, None if layout is start else layout, starts - ends + sizes, sizes,
+                       int(ends[-1]) if len(ends) else 0)
+    if keep:
+        plan.programs[needed.tobytes()] = program
+    return program
+
+
+def _parts(plan: MomentPlan, nw: int, bits: int, cand: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The parts of the tables `cand` of one degree, in the order of the
+    table-by-table recursion: each one's table (place in cand), weight
+    (index into the flattened weights, integer factor), key offset and
+    source table, and the sources of degree L - 1 and L - 2."""
+    dim = plan.masks.shape[0]
+    units, slot_units, shifts, _, _, offsets, _ = _slots(dim, nw, bits)
+    last = units.searchsorted(cand, "right") - 1
+    beta = cand - units[last]
+    factors = ((beta[:, None] >> shifts) & plan.masks[last]) | plan.ones[last]
+    t, slot = factors.nonzero()
+    src = beta[t] - slot_units[slot]
+    deep = slot > nw
+    return t, last[t] * plan.masks.shape[1] + slot, factors[t, slot], offsets[slot], src, src[~deep], src[deep]
+
+
+def _merge_tables(src_keys: np.ndarray, t: np.ndarray, part_offsets: np.ndarray, sizes: np.ndarray,
+                  cand: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys of the tables `cand` of one degree, each product's target
+    among them, and the tables' rows (alpha, first entry, size), from the
+    keys the parts read.
+
+    A product's key is its source key plus its part's offset, with its
+    table's place from bit `width` up.  The products come in the order of
+    the table-by-table recursion, as sorted runs, which the stable sort
+    merges.  A merge holds `cap` tables, so that (table, key) stays in an
+    int64.
+    """
+    n = len(cand)
+    cap = (1 << (63 - width)) - 1
+    keys = src_keys + np.repeat(((t % cap) << width) + part_offsets, sizes)
+    if n <= cap:
+        level_keys, inv = merge_index(keys, kind="stable")
+        table_sizes = np.bincount(level_keys >> width, minlength=n)
+    else:
+        firsts = [*range(0, n, cap), n]
+        edges = np.concatenate(([0], sizes.cumsum()))[t.searchsorted(firsts)].tolist()
+        merged = [merge_index(keys[lo:hi], kind="stable") for lo, hi in zip(edges, edges[1:])]
+        table_sizes = [np.bincount(k >> width, minlength=f1 - f0)
+                       for (k, _), f0, f1 in zip(merged, firsts, firsts[1:])]
+        bases = np.cumsum([0] + [len(k) for k, _ in merged]).tolist()
+        level_keys = np.concatenate([k for k, _ in merged])
+        inv = np.concatenate([inv + base for (_, inv), base in zip(merged, bases)])
+        table_sizes = np.concatenate(table_sizes)
+    level_keys &= (1 << width) - 1
+    tables = np.empty((3, n), dtype=np.int64)
+    tables[0], tables[2] = cand, table_sizes
+    np.cumsum(table_sizes, out=tables[1])
+    tables[1] -= table_sizes
+    return level_keys, inv, tables
 
 
 @functools.lru_cache(maxsize=None)

@@ -288,6 +288,18 @@ def packed_diff(keys: np.ndarray, coeffs: np.ndarray, index: int, bits: int,
     return merge(np.concatenate(parts_k), np.concatenate(parts_c))
 
 
+def merge_index(keys: np.ndarray, kind: str = "quicksort") -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the place of each input key among them."""
+    order = keys.argsort(kind=kind)
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inv = np.empty(len(keys), dtype=np.intp)
+    inv[order] = starts.cumsum() - 1
+    return ordered[starts], inv
+
+
 def merge(keys: np.ndarray, coeffs: np.ndarray,
           kind: str = "quicksort") -> Tuple[np.ndarray, np.ndarray]:
     """Sum the coefficients of equal keys; sorted by key, exact zeros dropped.
@@ -297,14 +309,7 @@ def merge(keys: np.ndarray, coeffs: np.ndarray,
     stable timsort merges concatenated sorted runs faster, the default
     quicksort shuffled keys.  The sort and bincount stand in for np.unique,
     whose per-call overhead dominates on short arrays."""
-    order = keys.argsort(kind=kind)
-    ordered = keys[order]
-    starts = np.empty(len(keys), dtype=bool)
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    inv = np.empty(len(keys), dtype=np.intp)
-    inv[order] = starts.cumsum() - 1
-    uniq = ordered[starts]
+    uniq, inv = merge_index(keys, kind)
     out = np.empty(len(uniq), dtype=complex)
     out.real = np.bincount(inv, coeffs.real, len(uniq))
     out.imag = np.bincount(inv, coeffs.imag, len(uniq))

@@ -226,10 +226,14 @@ def check_star_orthogonality(hbar: float = 1.0, seed: int = 0,
 
     # oracle validation: closed-form star against the twisted-integral
     # quadrature on strictly integrable instances (family members as they
-    # are when decaying, damped by a Gaussian otherwise).
+    # are when decaying, damped by a Gaussian otherwise).  The cases are
+    # posed in natural units, like the families (z = sqrt(hbar) u), so that
+    # the quadrature's box and grid, and the closed form's magnitude, are
+    # the same at every hbar.
     rng = np.random.default_rng(seed)
-    damp = QGFunction.from_exponent(sp1, 0.6 * np.eye(2))
-    shifted = gaussian_test(sp1, 0.9, center=[0.7, -0.4])
+    unit = math.sqrt(hbar)
+    damp = QGFunction.from_exponent(sp1, 0.6 / hbar * np.eye(2))
+    shifted = gaussian_test(sp1, 0.9 * unit, center=[0.7 * unit, -0.4 * unit])
     # cases are chosen with closed-form values of honest magnitude: orthogonal
     # pairs vanish identically and carry no relative-error information
     cases = [
@@ -245,7 +249,7 @@ def check_star_orthogonality(hbar: float = 1.0, seed: int = 0,
         ("dampF1-*dampF1+", toy_resonant(1, "-", sp1).mul(damp), toy_resonant(1, "+", sp1).mul(damp)),
     ]
     for label, f, g in cases:
-        z = rng.uniform(-1.2, 1.2, size=2)
+        z = unit * rng.uniform(-1.2, 1.2, size=2)
         closed = star(f, g).evaluate(z)
         try:
             quad = quadrature_star_oracle(f, g, z)

@@ -8,12 +8,15 @@ Both keep each coefficient's order of summation, so every moment table and
 every product must equal, bit for bit, what the recursions they replaced
 give.  Those recursions are kept here as references.  A skipped part adds
 only zeros, so the memo holds a subset of the reference's tables: the ones
-that nonzero parts read.
+that nonzero parts read.  The memos of one sparsity pattern share a plan,
+whose tables keep every key a part reaches, so an entry that cancels to
+exactly 0 stays in the memo where the reference's merge drops it.
 """
 
 import json
 import math
 import operator
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,10 +104,20 @@ def reference_compose(ctx, P1, P2, mu_memo, mv_memo):
 
 
 def memo_tables(memo, dim):
-    """The tables a `MomentMemo` holds, keyed by exponent tuple."""
-    alphas, starts, sizes = memo.index.tolist()
+    """The tables a `MomentMemo` holds, keyed by exponent tuple: the keys its
+    plan's layout gives them and the memo's coefficients."""
+    layout = memo.layout
+    alphas, starts, sizes = layout.store.tables[:, :layout.count].tolist()
     exps = unpack(np.array(alphas, dtype=np.int64), dim, packed_bits(dim)).tolist()
-    return {tuple(e): (memo.keys[s:s + n], memo.coeffs[s:s + n]) for e, s, n in zip(exps, starts, sizes)}
+    keys = layout.store.keys
+    return {tuple(e): (keys[s:s + n], memo.coeffs[s:s + n]) for e, s, n in zip(exps, starts, sizes)}
+
+
+def nonzero(keys, coeffs):
+    """A table without its entries that cancel to exactly 0, which the
+    plan keeps and the reference's merge drops."""
+    keep = coeffs != 0
+    return keys[keep], coeffs[keep]
 
 
 def split_tables(result, needed):
@@ -115,12 +128,14 @@ def split_tables(result, needed):
 
 
 def assert_same_tables(memo, want, needed):
-    """Every table the memo holds equals the reference's bit for bit, every
-    needed table is there, and the memo holds no table the reference lacks."""
+    """Every table the memo holds equals the reference's bit for bit, but for
+    exact zeros, every needed table is there, and the memo holds no table
+    the reference lacks."""
     got = memo_tables(memo, len(next(iter(want))))
     assert got.keys() <= want.keys()
     assert {tuple(a) for a in needed} <= got.keys()
-    for alpha, (keys, coeffs) in got.items():
+    for alpha, table in got.items():
+        keys, coeffs = nonzero(*table)
         assert np.array_equal(keys, want[alpha][0]), alpha
         assert coeffs.tobytes() == want[alpha][1].tobytes(), alpha
 
@@ -131,8 +146,9 @@ def assert_same_moments(Sigma, lin, shift, bits, needed):
     got = split_tables(moments_poly(Sigma, lin, shift, bits, needed, memo), needed)
     want = reference_moments_poly(Sigma, lin, shift, bits, needed, ref)
     for alpha in map(tuple, needed):
-        assert np.array_equal(got[alpha][0], want[alpha][0]), alpha
-        assert got[alpha][1].tobytes() == want[alpha][1].tobytes(), alpha
+        keys, coeffs = nonzero(*got[alpha])
+        assert np.array_equal(keys, want[alpha][0]), alpha
+        assert coeffs.tobytes() == want[alpha][1].tobytes(), alpha
     assert_same_tables(memo, ref, needed)
     return memo, ref
 
@@ -234,7 +250,9 @@ def test_table_that_cancels_to_empty():
     lin, shift = np.zeros((2, 1), dtype=complex), np.array([2.0, 3.0], dtype=complex)
     needed = list(multi_indices(2, 5))
     got = split_tables(moments_poly(Sigma, lin, shift, 31, needed, MomentMemo()), needed)
-    assert len(got[(1, 1)][0]) == 0 and len(got[(2, 0)][0]) == 1
+    # the plan keeps the key that cancels, with coefficient exactly 0
+    assert got[(1, 1)][0].tolist() == [0] and got[(1, 1)][1].tolist() == [0j]
+    assert len(got[(2, 0)][0]) == 1
     assert_same_moments(Sigma, lin, shift, 31, needed)
 
 
@@ -270,7 +288,8 @@ def test_keys_in_the_top_fields():
     P2 = Poly(2, {(0, 16): 1.0 + 1j, (1, 15): 2.0, (3, 11): -1.0})
     ctx = CompositionContext(1, A1, b1, A2, b2)
     assert_same_composition(ctx, P1, P2, {}, {})
-    assert int(ctx._mv_memo.keys[:ctx._mv_memo.used].max()) >> 45 >= 8
+    layout = ctx._mv_memo.layout
+    assert int(layout.store.keys[:layout.size].max()) >> 45 >= 8
 
 
 def test_table_batches_fit_int64():
@@ -292,6 +311,62 @@ def test_top_product_builds_only_the_tables_nonzero_parts_read():
     ctx = CompositionContext(2, t.expo.A, t.expo.b, t.expo.A, t.expo.b)
     ctx.compose(t.poly, t.poly)
     assert (len(ctx._mu_memo), len(ctx._mv_memo)) == (6835, 2365)
+
+
+# -- plans shared by sparsity pattern -----------------------------------------
+
+def test_contexts_with_one_pattern_share_a_plan():
+    # random exponents give dense blocks: every weight is live in both
+    # contexts, so their memos share the plans, and each context's tables
+    # are its own numbers, as the reference builds them
+    rng = np.random.default_rng(67)
+    (A1, b1, P1), (A2, b2, P2) = random_term_pair(rng, 1, 5, 5)
+    (B1, c1, _), (B2, c2, _) = random_term_pair(rng, 1, 5, 5)
+    first, second = CompositionContext(1, A1, b1, A2, b2), CompositionContext(1, B1, c1, B2, c2)
+    for ctx in (first, second):
+        assert_same_composition(ctx, P1, P2, {}, {})
+    assert first._mu_memo.plan is second._mu_memo.plan
+    assert first._mv_memo.plan is second._mv_memo.plan
+    layout = first._mv_memo.layout
+    assert second._mv_memo.layout is layout
+    assert not np.array_equal(first._mv_memo.coeffs[:layout.size], second._mv_memo.coeffs[:layout.size])
+
+
+def test_cancellation_keeps_a_zero_entry():
+    # mu = (w + 1, w - 1) and Sigma_01 = 1: E[z0 z1] = mu1 E[z0] + Sigma_10
+    # = (w - 1)(w + 1) + 1 = w^2: its constant and linear terms cancel to 0,
+    # and the plan keeps them; the products that read it are still the
+    # reference's, bit for bit
+    (A1, b1, P1), (A2, b2, _) = random_term_pair(np.random.default_rng(71), 1, 4, 4)
+    ctx = CompositionContext(1, A1, b1, A2, b2)
+    lin = np.zeros((2, 2), dtype=complex)
+    lin[:, 0] = 1.0
+    ctx._u_form = (lin, np.array([1.0, -1.0], dtype=complex))
+    ctx.G_uu = np.array([[0.5, 1.0], [1.0, 2.0]], dtype=complex)
+    P2 = Poly(2, {(1, 1): 1.0, (2, 2): 0.5j, (0, 3): -2.0})
+    for F in (P1, Poly(2, {(2, 2): 1.0, (1, 3): 1.5})):
+        assert_same_composition(ctx, F, P2, {}, {})
+    keys, coeffs = memo_tables(ctx._mu_memo, 2)[(1, 1)]
+    assert keys.tolist() == [0, 1, 2] and coeffs.tolist() == [0j, 0j, 1 + 0j]
+
+
+def test_plan_dies_with_its_last_context():
+    # a u-block pattern of its own (lin[1, 1], shift[0] and a unit
+    # covariance), so that no other memo keeps its plan
+    (A1, b1, P1), (A2, b2, P2) = random_term_pair(np.random.default_rng(73), 1, 3, 3)
+    lin = np.zeros((2, 2), dtype=complex)
+    lin[1, 1] = 0.5
+    contexts = [CompositionContext(1, A1, b1, A2, b2) for _ in range(2)]
+    for ctx in contexts:
+        ctx._u_form, ctx.G_uu = (lin, np.array([2.0, 0.0], dtype=complex)), np.eye(2, dtype=complex)
+        ctx.compose(P1, P2)
+    plan = weakref.ref(contexts[0]._mu_memo.plan)
+    assert contexts[1]._mu_memo.plan is plan()
+    pattern = next(key for key, value in gausspoly._PLANS.items() if value is plan())
+    del ctx, contexts[0]
+    assert plan() is not None
+    del contexts[0]
+    assert plan() is None and pattern not in gausspoly._PLANS
 
 
 # -- natural units -------------------------------------------------------------

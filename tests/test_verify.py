@@ -227,9 +227,9 @@ def test_conj_wrong_order_identity_fails():
 @pytest.mark.slow
 @pytest.mark.parametrize("hbar", HBARS)
 def test_marginals_pass_at_any_hbar(hbar):
-    # every check but star_orthogonality, which still fails its
-    # oracle_agreement entries at hbar = 1e-3, 1e-2 and 0.1 (grid bound, and
-    # dampF1-*dampF1+ at 0.1).  The marginal_delta W entries
+    # every check but star_orthogonality, which failed its oracle_agreement
+    # entries at hbar = 1e-3, 1e-2 and 0.1 until its cases were posed in
+    # natural units (test_run_all_passes_at_hbar).  The marginal_delta W entries
     # compare against a grid quadrature whose box follows the product's width
     # (a fixed +-9 box missed by up to 0.5 at hbar = 0.01 and 100); the
     # generator_series entries of complex_scaling_match nest brackets (a
@@ -239,25 +239,19 @@ def test_marginals_pass_at_any_hbar(hbar):
     assert rep.all_passed, [(e.params, e.residual) for e in rep.failed_entries()]
 
 
-@pytest.mark.parametrize("hbar", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("hbar", HBARS)
 def test_run_all_passes_at_hbar(hbar):
     # the oracle's box must grow as sqrt(hbar): a half-width of 12 missed
-    # W3*W3 by 7.9e-6 and W2*dampF1+ by 2.1e-6 at hbar = 10
+    # W3*W3 by 7.9e-6 and W2*dampF1+ by 2.1e-6 at hbar = 10.  The oracle
+    # cases are posed in natural units (z, the damping and the shifted
+    # Gaussian scale with sqrt(hbar)): with a fixed 0.6 damping and a fixed
+    # 0.9-wide Gaussian, 7 of them needed more grid points than the bound at
+    # hbar = 1e-3 and 1e-2, and dampF1-*dampF1+ was 7.2e-60 at its z at 0.1
     rep = run_all(hbar=hbar)
     assert len(rep.entries) == 533
     assert rep.all_passed, [(e.params, e.residual) for e in rep.failed_entries()]
-
-
-def test_run_all_at_small_hbar_fails_only_at_the_oracle_grid_bound():
-    # the oracle's grid grows as 1/hbar^2 (ROADMAP item 1): at hbar = 1e-3
-    # the 7 oracle_agreement cases with a factor that does not scale with
-    # hbar (the 0.6 damping, the 0.9-wide shifted Gaussian) need more points
-    # than the bound, and nothing else fails; W0*W0, W2*W2 and W3*W3 pass
-    failed = run_all(hbar=1e-3).failed_entries()
-    assert len(failed) == 7
-    for e in failed:
-        assert e.params["check"] == "oracle_agreement", e.params
-        assert "grid bound of 16777216 points" in e.params["error"]
+    oracle = [e for e in rep.entries if e.params.get("check") == "oracle_agreement"]
+    assert len(oracle) == 10 and max(e.residual for e in oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("hbar", HBARS)
