@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .poly import (Poly, check_packed_degree, merge, multi_factorial, multi_indi
 
 
 class EvolutionSingular(Exception):
-    """Closed-form star exponential evaluated at a pole of 1/cos."""
+    """Closed-form star exponential evaluated at a zero of cosh(lam t/2)."""
 
 
 class OracleNotConverged(Exception):
@@ -50,8 +50,8 @@ class OracleNeedsDamping(OracleNotConverged):
     the oracle checks the damped pair from `damped_pair` instead."""
 
 
-# the largest quadrature grid the oracle builds: a quadrature peaks near 76 B
-# per point, so about 1.3 GB
+# the largest quadrature grid the oracle builds: a quadrature peaks near 66 B
+# per point (tracemalloc), so about 1.1 GB
 ORACLE_MAX_GRID_POINTS = 2 ** 24
 
 
@@ -204,106 +204,84 @@ def star_exp_series(H: QGFunction, order: int) -> List[QGFunction]:
     return coeffs
 
 
-def _series_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order + 1, dtype=complex)
-    for i, ai in enumerate(a[:order + 1]):
-        if ai == 0:
-            continue
-        top = min(order - i, len(b) - 1)
-        out[i:i + top + 1] += ai * b[:top + 1]
-    return out
+def _J_times(X: np.ndarray) -> np.ndarray:
+    """J X for J = [[0, I], [-I, 0]]."""
+    n = len(X) // 2
+    return np.concatenate([X[n:], -X[:n]])
 
 
-def _series_recip(a: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order + 1, dtype=complex)
-    out[0] = 1.0 / a[0]
-    for k in range(1, order + 1):
-        s = 0j
-        for j in range(1, min(k, len(a) - 1) + 1):
-            s += a[j] * out[k - j]
-        out[k] = -s / a[0]
-    return out
+def _flow_spectrum(model, space: VarSpace) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The eigenvalues lam of K = J M, where the model's Hamiltonian is
+    H = 1/2 z^T M z, so that zdot = K z, and the map from f's values on them
+    to the real matrix f(K) = V diag(f(lam)) V^-1.
 
-
-def _cos_sin_series(rate: float, order: int, hyperbolic: bool) -> Tuple[np.ndarray, np.ndarray]:
-    c = np.zeros(order + 1, dtype=complex)
-    s = np.zeros(order + 1, dtype=complex)
-    for k in range(0, order + 1, 2):
-        sign = 1.0 if hyperbolic else (-1.0) ** (k // 2)
-        c[k] = sign * rate ** k / math.factorial(k)
-    for k in range(1, order + 1, 2):
-        sign = 1.0 if hyperbolic else (-1.0) ** ((k - 1) // 2)
-        s[k] = sign * rate ** k / math.factorial(k)
-    return c, s
-
-
-def _closed_form_scalars(model, hbar: float):
-    """(rate, H-scale factor, hyperbolic?) for the closed star exponential."""
-    kind = model.kind
-    if kind == "harmonic_oscillator":
-        return model.omega, -2j / (hbar * model.omega), False
-    if kind == "damped_toy":
-        return model.gamma, -2j / (hbar * model.gamma), True
-    raise ValueError(f"no closed star exponential for model '{kind}'")
-
-
-def star_exp_closed(model, t: float, space: VarSpace) -> QGFunction:
-    """Closed form of Exp(-(i/hbar) t H):
-
-        oscillator:  sec(w t/2) exp[-(2i/(hbar w)) tan(w t/2) H]
-        damped toy:  sech(g t/2) exp[-(2i/(hbar g)) tanh(g t/2) H]
-
-    The argument scaling (w t/2 rather than t/2) is fixed by matching the
-    star-power series order by order.
+    Every K a model admits (+-i w, +-g, +-g +- i w) is normal, so a plain
+    eigendecomposition holds.  M is real, as every model's H is.
     """
     from .models import hamiltonian  # deferred: models imports this module
 
-    rate, hfac, hyperbolic = _closed_form_scalars(model, space.hbar)
-    u = rate * t / 2.0
-    if hyperbolic:
-        cosv, tanv = np.cosh(u), np.tanh(u)
-    else:
-        cosv, tanv = np.cos(u), np.tan(u)
-        if abs(cosv) < 1e-6:
-            raise EvolutionSingular(f"star exponential singular at t = {t}")
-    H = hamiltonian(model, space).polynomial_part()
-
-    # both models' H are homogeneous quadratics: fold hfac*tan * H into A
     d = space.dim
-    A = np.zeros((d, d), dtype=complex)
-    for e, coef in H.terms.items():
-        w = hfac * tanv * coef
+    M = np.zeros((d, d))
+    for e, coef in hamiltonian(model, space).polynomial_part().terms.items():
         i, j = [i for i, k in enumerate(e) for _ in range(k)]
-        A[i, j] -= w
-        A[j, i] -= w
-    return QGFunction.from_exponent(space, A, coeff=1.0 / cosv)
+        M[i, j] += coef.real
+        M[j, i] += coef.real
+    lam, V = np.linalg.eig(_J_times(M))
+    Vinv = np.linalg.inv(V)
+    return lam, lambda values: ((V * values) @ Vinv).real
+
+
+def star_exp_closed(model, t: float, space: VarSpace) -> QGFunction:
+    """Closed form of Exp(-(i/hbar) t H) for H = 1/2 z^T M z and K = J M
+    (Bayen, Flato, Fronsdal, Lichnerowicz and Sternheimer, Ann. Phys. 111, 1978):
+
+        prod sech(lam t/2) exp[(i/hbar) z^T J tanh(t K/2) z]
+
+    The product takes one eigenvalue lam of K from each +- pair; cosh is
+    even, so either member gives the same factor.  For the oscillator this
+    is sec(w t/2) exp[-(2i/(hbar w)) tan(w t/2) H], for the toy
+    sech(g t/2) exp[-(2i/(hbar g)) tanh(g t/2) H].
+    """
+    lam, of_K = _flow_spectrum(model, space)
+    cosh = np.cosh(0.5 * t * lam)
+    if np.abs(cosh).min() < 1e-6:
+        raise EvolutionSingular(f"star exponential singular at t = {t}")
+    tol = 1e-8 * np.abs(lam).max()
+    one_of_each_pair = (lam.real > tol) | ((np.abs(lam.real) <= tol) & (lam.imag > 0))
+    JT = _J_times(of_K(np.tanh(0.5 * t * lam)))
+    # exp(-1/2 z^T A z) = exp((i/hbar) z^T J T z)
+    return QGFunction.from_exponent(space, (-2j / space.hbar) * JT,
+                                    coeff=float(np.prod(1.0 / cosh[one_of_each_pair]).real))
 
 
 def star_exp_closed_taylor(model, order: int, space: VarSpace) -> List[QGFunction]:
-    """t-Taylor coefficients of the closed-form star exponential."""
-    from .models import hamiltonian
+    """t-Taylor coefficients of the closed-form star exponential exp L(t),
 
-    rate, hfac, hyperbolic = _closed_form_scalars(model, space.hbar)
-    cos_s, sin_s = _cos_sin_series(rate / 2.0, order, hyperbolic)
-    sec_s = _series_recip(cos_s, order)
-    tan_s = _series_mul(sin_s, sec_s, order)
+        L(t) = (i/hbar) z^T J tanh(t K/2) z - 1/2 tr log cosh(t K/2),
 
-    H = hamiltonian(model, space).polynomial_part()
-    H_pow = [Poly.const(space.dim, 1.0)]
-    weight = sec_s.copy()
-    k = 0
-    out_polys = [Poly(space.dim) for _ in range(order + 1)]
-    while True:
-        scal = hfac ** k / math.factorial(k)
-        for j in range(order + 1):
-            if weight[j] != 0:
-                out_polys[j].add_scaled(H_pow[-1], scal * weight[j])
-        k += 1
-        if k > order:
-            break
-        H_pow.append(H_pow[-1].mul(H))
-        weight = _series_mul(weight, tan_s, order)   # sec * tan^k
-    return [QGFunction.from_poly(space, p) for p in out_polys]
+    by k e_k = sum_j j L_j e_{k-j}.  With tanh(s) = sum c_k s^k, from
+    tau' = 1 - tau^2, and (log cosh)' = tanh, L_k is
+    c_k (i/hbar) z^T J (K/2)^k z - c_{k-1} tr (K/2)^k / (2k).
+    """
+    lam, of_K = _flow_spectrum(model, space)
+    d = space.dim
+    c = np.zeros(order + 1)
+    L = [Poly(d)]
+    for k in range(1, order + 1):
+        c[k] = ((k == 1) - c[:k] @ c[k - 1::-1]) / k
+        power = (0.5 * lam) ** k
+        S = _J_times(of_K(power)) * (1j * c[k] / space.hbar)
+        Lk = Poly.const(d, -c[k - 1] * power.sum().real / (2 * k))
+        for i in range(d):
+            Lk = Lk + Poly.variable(d, i).mul(Poly.linear(S[i]))
+        L.append(Lk)
+    e = [Poly.const(d, 1.0)]
+    for k in range(1, order + 1):
+        ek = Poly(d)
+        for j in range(1, k + 1):
+            ek.add_scaled(L[j].mul(e[k - j]), j / k)
+        e.append(ek)
+    return [QGFunction.from_poly(space, p) for p in e]
 
 
 def evolve(f: QGFunction, model, t: float) -> QGFunction:
@@ -314,16 +292,9 @@ def evolve(f: QGFunction, model, t: float) -> QGFunction:
 
 
 def classical_flow_matrix(model, t: float) -> np.ndarray:
-    """Matrix of the classical Hamiltonian flow Phi_t on (x, p)."""
-    kind = model.kind
-    if kind == "harmonic_oscillator":
-        w = model.omega
-        return np.array([[math.cos(w * t), math.sin(w * t)],
-                         [-math.sin(w * t), math.cos(w * t)]])
-    if kind == "damped_toy":
-        g = model.gamma
-        return np.array([[math.exp(-g * t), 0.0], [0.0, math.exp(g * t)]])
-    raise ValueError(f"no classical flow matrix for model '{kind}'")
+    """Matrix e^{tK} of the classical Hamiltonian flow Phi_t on (x, p)."""
+    lam, of_K = _flow_spectrum(model, VarSpace(model.n_dof, 1.0))
+    return of_K(np.exp(t * lam))
 
 
 # ---------------------------------------------------------------------------

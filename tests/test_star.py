@@ -17,7 +17,7 @@ from conftest import random_gaussian, random_polynomial, w0
 from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, gaussian_test, poisson_bracket
 from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, MomentMemo,
                             integrate_partial, integrate_poly_exp, moments_poly, moments_scalar)
-from mqds.models import ModelId, hamiltonian, oscillator_wigner, toy_resonant
+from mqds.models import ModelId, dho_f, dho_g, hamiltonian, oscillator_wigner, toy_resonant
 from mqds.poly import Poly, multi_factorial, multi_indices
 from mqds.star import (EvolutionSingular, OracleNeedsDamping, OracleNotConverged, _dampened,
                        _series_term_pair, _twisted_kernel, _twisted_quadrature,
@@ -351,9 +351,13 @@ def test_series_requires_polynomial(space):
         star_exp_series(H, 17)
 
 
+DHOS = [ModelId.dho(1.0, 1.0), ModelId.dho(1.3, 0.4)]
+
+
 @pytest.mark.parametrize("model", [ModelId.oscillator(1.0), ModelId.oscillator(1.7),
-                                   ModelId.toy(1.0), ModelId.toy(0.6)])
-def test_series_matches_closed_taylor(model, space):
+                                   ModelId.toy(1.0), ModelId.toy(0.6), *DHOS])
+def test_series_matches_closed_taylor(model):
+    space = VarSpace(model.n_dof, 1.0)
     H = hamiltonian(model, space)
     series = star_exp_series(H, 8)
     closed = star_exp_closed_taylor(model, 8, space)
@@ -413,14 +417,34 @@ def test_evolve_stationary_wigner(space):
 
 
 @pytest.mark.parametrize("model", [ModelId.oscillator(1.0), ModelId.oscillator(0.7),
-                                   ModelId.toy(1.0), ModelId.toy(1.4)])
-def test_evolve_is_classical_transport(model, space):
-    from mqds.algebra import gaussian_test
-    f = gaussian_test(space, 0.8, center=[1.0, 0.5])
+                                   ModelId.toy(1.0), ModelId.toy(1.4), *DHOS])
+def test_evolve_is_classical_transport(model):
+    space = VarSpace(model.n_dof, 1.0)
+    f = gaussian_test(space, 0.8, center=[1.0, 0.5, -0.4, 0.3][:space.dim])
     for t in (0.1, 0.5):
         got = evolve(f, model, t)
         want = f.substitute_linear(classical_flow_matrix(model, -t))
         assert (got - want).coeff_norm() <= 1e-9 * f.coeff_norm()
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.1])
+@pytest.mark.parametrize("model", DHOS, ids=["dho_1_1", "dho_1.3_0.4"])
+def test_dho_group_law(model, hbar):
+    # U(t) * U(-t) = 1: the dho has no singular times, cosh((g +- i w) t/2) != 0
+    space = VarSpace(2, hbar)
+    one = QGFunction.constant(space, 1.0)
+    for t in (0.4, 2.5):
+        U = star(star_exp_closed(model, t, space), star_exp_closed(model, -t, space))
+        assert (U - one).coeff_norm() <= 1e-12
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.1])
+@pytest.mark.parametrize("model", DHOS, ids=["dho_1_1", "dho_1.3_0.4"])
+def test_dho_families_are_stationary(model, hbar):
+    space = VarSpace(2, hbar)
+    for f in (dho_f(1, 1, "+", space), dho_f(2, 1, "-", space), dho_g(1, 0, space)):
+        got = evolve(f, model, 0.4)
+        assert (got - f).coeff_norm() <= 1e-12 * f.coeff_norm()
 
 
 def test_evolved_gaussian_center_rotates(space):
