@@ -58,10 +58,11 @@ class QuadExponent:
     __slots__ = ("A", "b", "c")
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: complex = 0.0):
-        A = sym(np.asarray(A, dtype=complex))
+        A = np.asarray(A, dtype=complex)
         b = np.asarray(b, dtype=complex).reshape(-1)
         if A.shape != (len(b), len(b)):
             raise ValueError("A/b dimension mismatch")
+        A = sym(A)
         A.flags.writeable = False
         b.flags.writeable = False
         self.A = A

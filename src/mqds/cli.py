@@ -260,6 +260,8 @@ def _named_function(name: str, space: VarSpace, args) -> QGFunction:
                 return QGFunction.from_json_dict(json.load(fh))
         except OSError as exc:
             raise IOError(str(exc)) from exc
+        except (KeyError, TypeError, IndexError) as exc:
+            raise UsageError(f"malformed function file '{name[1:]}': {exc!r}") from exc
     if n == 1 and name in builtins_1d:
         return builtins_1d[name]()
     if name.startswith("W") and n == 1:

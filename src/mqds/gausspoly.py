@@ -137,24 +137,15 @@ def _grown(array: np.ndarray, n: int) -> np.ndarray:
 class _Layout:
     """A state of the memos of one plan: the tables they hold, in the order
     they were built (the first `count` rows of the store's tables), and
-    the keys of their entries (the first `size`).  On the states that
-    first requests reach, `builds` maps a degree's tables to build (their
-    packed alphas as bytes) to the step that builds them and the state
-    after it, which requests that build the same tables share.  `sorted`,
-    if set, is `index()`; `_compile` keeps it on the state a program ends
-    in."""
+    the keys of their entries (the first `size`)."""
 
-    __slots__ = ("store", "size", "count", "builds", "sorted")
+    __slots__ = ("store", "size", "count")
 
     def __init__(self, store: _Store, size: int, count: int) -> None:
         self.store, self.size, self.count = store, size, count
-        self.builds: Dict[bytes, Tuple[_Step, _Layout]] = {}
-        self.sorted: np.ndarray | None = None
 
     def index(self) -> np.ndarray:
         """Rows alpha, start, size of the tables held, sorted by alpha."""
-        if self.sorted is not None:
-            return self.sorted
         tables = self.store.tables[:, :self.count]
         # a sorted run per degree built, which the stable sort merges
         return tables[:, tables[0].argsort(kind="stable")]
@@ -176,62 +167,26 @@ class _Layout:
         return _Layout(store, size, count)
 
 
-class _Merge:
-    """The merge of one degree's keys (see `_merge_tables`): the tables'
-    rows (alpha, first entry counted from the degree's, size), where their
-    `size` keys sit (at `lo` in the `store` of the layout first built with
-    them),
-    and each product's target, as `inv` (product k adds to entry inv[k])
-    until a step replays, then as `pairs` (see `_paired`), so that one
-    bincount adds both parts of each product."""
-
-    __slots__ = ("tables", "size", "store", "lo", "inv", "pairs")
-
-    def __init__(self, tables: np.ndarray, size: int, store: _Store | None, lo: int, inv: np.ndarray) -> None:
-        self.tables, self.size, self.store, self.lo, self.inv = tables, size, store, lo, inv
-        self.pairs: np.ndarray | None = None
-
-    def keys(self) -> np.ndarray:
-        """The tables' keys, concatenated."""
-        return self.store.keys[self.lo:self.lo + self.size]
-
-
 class _Step:
     """How one degree's tables are built: the entries the parts read (`at`),
     each part's weight (index into the flattened weights, integer factor)
-    and how many entries it reads, the merge that gives each product's
-    target, and the degree's entries [lo, hi)."""
+    and how many entries it reads, each product's target (product k adds to
+    entry inv[k] of the degree, see `_merge_tables`), and the degree's
+    entries [lo, hi)."""
 
-    __slots__ = ("at", "widx", "factors", "sizes", "merge", "lo", "hi")
+    __slots__ = ("at", "widx", "factors", "sizes", "inv", "lo", "hi")
 
     def __init__(self, at: np.ndarray, widx: np.ndarray, factors: np.ndarray, sizes: np.ndarray,
-                 merge: _Merge, lo: int, hi: int) -> None:
+                 inv: np.ndarray, lo: int, hi: int) -> None:
         self.at, self.widx, self.factors, self.sizes = at, widx, factors, sizes
-        self.merge, self.lo, self.hi = merge, lo, hi
+        self.inv, self.lo, self.hi = inv, lo, hi
 
-    def run(self, weights: np.ndarray, coeffs: np.ndarray, replay: bool = True) -> None:
-        """Compute the degree's coefficients from the lower ones in `coeffs`;
-        `replay` unless the step was just built."""
+    def run(self, weights: np.ndarray, coeffs: np.ndarray) -> None:
+        """Compute the degree's coefficients from the lower ones in `coeffs`."""
         products = np.repeat(weights[self.widx] * self.factors, self.sizes) * coeffs[self.at]
-        n, merge = self.hi - self.lo, self.merge
-        if merge.pairs is None and replay:
-            merge.pairs, merge.inv = _paired(merge.inv), None
-        if merge.pairs is not None:
-            coeffs[self.lo:self.hi] = np.bincount(merge.pairs, products.view(float), 2 * n).view(complex)
-        else:
-            level = coeffs[self.lo:self.hi]
-            level.real = np.bincount(merge.inv, products.real, n)
-            level.imag = np.bincount(merge.inv, products.imag, n)
-
-
-def _paired(inv: np.ndarray) -> np.ndarray:
-    """The targets 2 inv and 2 inv + 1 of each product's real and imaginary
-    parts, viewed as two floats, interleaved (int32 while they fit, to
-    halve what a plan keeps)."""
-    pairs = np.empty((len(inv), 2), dtype=np.int32 if len(inv) < 1 << 30 else np.intp)
-    np.multiply(inv, 2, out=pairs[:, 0], casting="unsafe")
-    np.add(pairs[:, 0], 1, out=pairs[:, 1])
-    return pairs.ravel()
+        level = coeffs[self.lo:self.hi]
+        level.real = np.bincount(self.inv, products.real, self.hi - self.lo)
+        level.imag = np.bincount(self.inv, products.imag, self.hi - self.lo)
 
 
 class _Program(NamedTuple):
@@ -255,17 +210,13 @@ class MomentPlan:
     pattern, so the memos of every (Sigma, lin, shift) with that pattern
     share the plan, and each memo adds only its numbers.
 
-    The plan keeps what a memo's first request, from the root, compiles:
-    the `_Program` per request (`needed` as bytes), the steps and states on
-    the way (`_Layout.builds`), and per set of tables of one degree (packed
-    alphas as bytes) their parts (`walks`, see `_parts`) and the merge of
-    their keys (`merges`, see `_merge_tables`).  The memos of other
-    contexts with the pattern repeat these.  A memo's later requests, from
-    states that depend on all its earlier ones, are compiled, run and
-    dropped, so that what the plan keeps does not grow with a memo's
-    history."""
+    The plan keeps the `_Program` of a memo's first request, from the root
+    (`needed` as bytes), which the memos of other contexts with the pattern
+    replay.  A memo's later requests, from states that depend on all its
+    earlier ones, are compiled, run and dropped, so that what the plan
+    keeps does not grow with a memo's history."""
 
-    __slots__ = ("masks", "ones", "root", "programs", "walks", "merges", "__weakref__")
+    __slots__ = ("masks", "ones", "root", "programs", "__weakref__")
 
     def __init__(self, masks: np.ndarray, ones: np.ndarray) -> None:
         self.masks, self.ones = masks, ones
@@ -273,8 +224,6 @@ class MomentPlan:
         tables[2, 0] = 1
         self.root = _Layout(_Store(np.zeros(256, dtype=np.int64), tables, 1, 1), 1, 1)
         self.programs: Dict[bytes, _Program] = {}
-        self.walks: Dict[bytes, Tuple[np.ndarray, ...]] = {}
-        self.merges: Dict[bytes, _Merge] = {}
 
 
 # held weakly: a plan lives as long as a memo that uses it
@@ -370,8 +319,9 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
     for a memo's first request (see `MomentPlan`): which tables to build
     and, per total degree, which entries each product reads, with which
     weight, and where it adds.  Running it takes, per degree, one gather
-    of the entries read, one product with the part weights, one bincount
-    and one store.  A table keeps every key that a part of the recursion
+    of the entries read, one product with the part weights, a bincount
+    each for the real and imaginary parts (each sums in input order), and
+    one store.  A table keeps every key that a part of the recursion
     reaches, also where the coefficient cancels to exactly 0, so that its
     keys do not depend on the numbers: callers merge the tables into their
     products and drop those zeros there.  The zeros add only +-0 to other
@@ -399,8 +349,7 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
 
 def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Program:
     """The program that builds the tables `needed` asks for and the memo
-    lacks, run on the memo.  It reads what the plan keeps, and adds to it
-    when the memo is at the root.
+    lacks, run on the memo; the plan keeps it when the memo is at the root.
 
     A part of the recursion whose weight is exactly zero adds nothing, so
     it is skipped, and so is the table it would read.  The missing tables
@@ -408,14 +357,13 @@ def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Progr
     for its mean parts and L - 2 for its Sigma parts), then built from the
     bottom, a degree at a time.
     """
-    plan, layout = memo.plan, memo.layout
-    keep = layout is plan.root
+    plan, start = memo.plan, memo.layout
     dim = needed.shape[1]
     degrees = needed.sum(axis=1)
     counts = np.bincount(degrees).tolist()
     check_packed_degree(len(counts) - 1, packed_bits(dim), dim)
     alphas = needed @ _slots(dim, nw, bits)[0]
-    index = layout.index()
+    index = start.index()
 
     # the walk: per degree from the top, the tables to build
     want: Dict[int, list] = {}
@@ -431,60 +379,35 @@ def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Progr
         cand = cand[have.take(have.searchsorted(cand), mode="clip") != cand]
         if not len(cand):
             continue
-        key = cand.tobytes()
-        parts = plan.walks.get(key)
-        if parts is None:
-            parts = _parts(plan, nw, bits, cand)
-            if keep:
-                plan.walks[key] = parts
-        walk.append((level, key, cand, parts))
+        parts = _parts(plan, nw, bits, cand)
+        walk.append((level, cand, parts))
         want.setdefault(level - 1, []).append(parts[-2])
         want.setdefault(level - 2, []).append(parts[-1])
 
     # a degree-L table has degree <= L in w, so its keys stay below L << top
     top = bits * max(nw - 1, 0)
-    start, steps = layout, []
-    for level, key, cand, (t, widx, factors, part_offsets, src, _, _) in reversed(walk):
-        built = layout.builds.get(key)
-        replay = built is not None
-        if not replay:
-            if index is None:
-                index = layout.index()
-            starts, sizes = index[1:, index[0].searchsorted(src)]
-            at = _entries(starts, sizes)
-            lo, merge = layout.size, plan.merges.get(key)
-            if merge is None:
-                keys, inv, tables = _merge_tables(layout.store.keys[at], t, part_offsets, sizes,
-                                                  cand, top + level.bit_length())
-                merge = _Merge(tables, len(keys), None, lo, inv)
-            else:
-                keys = merge.keys()
-            tables = merge.tables.copy()
-            tables[1] += lo
-            built = _Step(at, widx, factors, sizes, merge, lo, lo + merge.size), layout.extend(keys, tables)
-            if merge.store is None:
-                merge.store = built[1].store
-                if keep:
-                    plan.merges[key] = merge
-            if keep:
-                layout.builds[key] = built
-            index = np.concatenate((index, tables), axis=1)
-            index = index[:, index[0].argsort(kind="stable")]     # two sorted runs
-        else:
-            index = None
-        step, layout = built
-        step.run(memo.weights, memo.reserve(layout.size), replay)
+    layout, steps = start, []
+    for level, cand, (t, widx, factors, part_offsets, src, _, _) in reversed(walk):
+        starts, sizes = index[1:, index[0].searchsorted(src)]
+        at = _entries(starts, sizes)
+        keys, inv, tables = _merge_tables(layout.store.keys[at], t, part_offsets, sizes,
+                                          cand, top + level.bit_length())
+        lo = layout.size
+        tables[1] += lo
+        step = _Step(at, widx, factors, sizes, inv, lo, lo + len(keys))
+        layout = layout.extend(keys, tables)
+        index = np.concatenate((index, tables), axis=1)
+        index = index[:, index[0].argsort(kind="stable")]     # two sorted runs
+        step.run(memo.weights, memo.reserve(layout.size))
         steps.append(step)
 
-    if index is None:
-        index = layout.index()
-    layout.sorted, memo.layout = index, layout
+    memo.layout = layout
     starts, sizes = index[1:, index[0].searchsorted(alphas)]
     sizes.flags.writeable = False
     ends = sizes.cumsum()
     program = _Program(steps, None if layout is start else layout, starts - ends + sizes, sizes,
                        int(ends[-1]) if len(ends) else 0)
-    if keep:
+    if start is plan.root:
         plan.programs[needed.tobytes()] = program
     return program
 
@@ -735,19 +658,15 @@ class CompositionContext:
                                                 np.concatenate([c for _, c in out])))
 
 
-_CTX_CACHE: Dict[bytes, CompositionContext] = {}
+_CTX_CACHE: Dict[tuple, CompositionContext] = {}
 
 
 def composition_context(n_dof: int, A1: np.ndarray, b1: np.ndarray,
                         A2: np.ndarray, b2: np.ndarray) -> CompositionContext:
-    # key: each exponent divided by the power of two of its largest entry and
-    # rounded to 12 decimals, with that power, so that the key keeps its
-    # relative precision at any size (the natural-unit exponents of a
-    # fixed-width Gaussian are of size hbar)
-    arrays = (A1, b1, A2, b2)
-    scales = [math.frexp(float(np.abs(a).max(initial=0.0)))[1] for a in arrays]
-    key = np.concatenate([np.array([n_dof, *scales], dtype=complex)]
-                         + [np.round(a * 2.0 ** -e, 12).ravel() for a, e in zip(arrays, scales)]).tobytes()
+    # keyed by the exponents' exact bytes: a context serves only the
+    # exponents it was built from, so a product does not depend on what
+    # the cache held before
+    key = (n_dof, A1.tobytes(), b1.tobytes(), A2.tobytes(), b2.tobytes())
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
         if len(_CTX_CACHE) > 128:

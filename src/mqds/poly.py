@@ -32,6 +32,8 @@ class Poly:
         self.terms: Dict[Exponent, complex] = {}
         if terms:
             for e, c in terms.items():
+                if len(e) != self.dim:
+                    raise ValueError(f"exponent {tuple(e)} has {len(e)} entries, not dim = {self.dim}")
                 c = complex(c)
                 if c != 0:
                     e = tuple(int(k) for k in e)

@@ -107,6 +107,12 @@ def test_diff_out_of_range(space):
         w0(space).differentiate(2)
 
 
+def test_exponent_shape_is_checked_before_symmetrizing():
+    # a 1x2 A would broadcast to [[1, .5], [.5, 0]] in (A + A.T) / 2
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        QuadExponent(np.array([[1.0, 0.5]]), np.zeros(2))
+
+
 def test_mixed_partials_commute(space):
     rng = np.random.default_rng(7)
     for _ in range(5):

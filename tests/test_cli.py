@@ -358,6 +358,17 @@ def test_oracle_json_function_input(tmp_path):
     assert float(fields[-1]) < 1e-6
 
 
+@pytest.mark.parametrize("content", ["{}", "[1, 2]"])
+def test_oracle_malformed_json_function_is_a_usage_error(content, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    r = run_cli("oracle", "--f", f"@{path}", "--g", "W0", "--points", "0.2,-0.1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("mqds:ERROR: malformed function file") and str(path) in line
+
+
 def test_io_error_exit_code():
     r = run_cli("spectrum", "--model", "oscillator", "--max-n", "1",
                 "--out", "/nonexistent_dir/out.csv")

@@ -330,6 +330,16 @@ def test_contexts_with_one_pattern_share_a_plan():
     layout = first._mv_memo.layout
     assert second._mv_memo.layout is layout
     assert not np.array_equal(first._mv_memo.coeffs[:layout.size], second._mv_memo.coeffs[:layout.size])
+    # a third context's first request shares the first one's low-degree
+    # tables and differs at the top: it builds its own tables from the root,
+    # and the first context's stay as they were
+    (C1, d1, _), (C2, d2, _) = random_term_pair(rng, 1, 5, 5)
+    Q2 = P2 + Poly(2, {(0, P2.degree() + 1): 0.5 - 1j})
+    third = CompositionContext(1, C1, d1, C2, d2)
+    assert_same_composition(third, P1, Q2, {}, {})
+    assert third._mv_memo.plan is first._mv_memo.plan
+    assert len(third._mv_memo) > len(first._mv_memo)
+    assert_same_composition(first, P1, P2, {}, {})
 
 
 def test_cancellation_keeps_a_zero_entry():
@@ -446,6 +456,24 @@ def test_fixed_width_gaussians_keep_their_own_context(monkeypatch):
         got = star(f, g)
         assert (got - direct_star(f, g)).coeff_norm() <= 1e-13 * got.coeff_norm(), width
     assert len(cache) == 2
+
+
+def test_products_do_not_depend_on_the_cache_history(monkeypatch):
+    # a context serves only the natural-unit exponents it was built from: the
+    # shifted Gaussian of the orthogonality check has natural exponents that
+    # differ in their last bits from one hbar to another, and star(W1, it) at
+    # hbar = 0.5 is the same, bit for bit, whichever hbar filled the cache first
+    def product(hbar):
+        space, unit = VarSpace(1, hbar), math.sqrt(hbar)
+        shifted = gaussian_test(space, 0.9 * unit, center=[0.7 * unit, -0.4 * unit])
+        return json.dumps(star(oscillator_wigner(1, space), shifted).to_json_dict())
+
+    monkeypatch.setattr(gausspoly, "_CTX_CACHE", {})
+    want = product(0.5)
+    for hbar in (1.0, 0.1, 10.0, 1e-3):
+        monkeypatch.setattr(gausspoly, "_CTX_CACHE", {})
+        product(hbar)
+        assert product(0.5) == want, hbar
 
 
 def random_function_pair(n_dof):

@@ -24,6 +24,12 @@ def test_zero_and_const():
     assert p.eval([7.0, -1.0]) == 2.5
 
 
+@pytest.mark.parametrize("expo", [(0, 0, 0), (1,)])
+def test_exponent_length_must_be_dim(expo):
+    with pytest.raises(ValueError, match="not dim = 2"):
+        Poly(2, {expo: 1.0})
+
+
 def test_mul_matches_eval():
     rng = np.random.default_rng(0)
     a = Poly(2, {(1, 0): 2.0, (0, 2): -1.0 + 1j})

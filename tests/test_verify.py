@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gaussian
-from mqds import gausspoly, models
+from mqds import models
 from mqds.algebra import QGFunction, QGTerm, VarSpace
 from mqds.models import dho_f, dho_g, oscillator_wigner, oscillator_wigner_ladder
 from mqds.poly import Poly
@@ -119,14 +119,9 @@ def test_failing_check_does_not_abort_siblings(monkeypatch):
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_run_memo_changes_no_result(hbar):
     # the memo only skips repeats of the same star products in the same
-    # order, so each check alone, with nothing reused, reports the same bytes.
-    # Both runs start from an empty composition cache: a context serves
-    # natural-unit exponents within 1e-12 of its own, so one built at
-    # another hbar, or by an earlier test, can change the last bits
-    gausspoly._CTX_CACHE.clear()
+    # order, so each check alone, with nothing reused, reports the same bytes
     report = run_all(seed=0, hbar=hbar)
     assert models._RUN_MEMO.get() is None
-    gausspoly._CTX_CACHE.clear()
     alone = VerificationReport()
     values = {"hbar": hbar, "omega": 1.0, "gamma": 1.0, "seed": 0}
     for fn, _ in _CHECKS.values():
