@@ -34,6 +34,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_ORACLE = 4
 
+# the most rows a table may have: grid points or spectrum rows
+_MAX_ROWS = 10**7
+
 _MODEL_NAMES = {
     "oscillator": "harmonic_oscillator",
     "harmonic_oscillator": "harmonic_oscillator",
@@ -102,6 +105,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_spectrum(args) -> int:
     model = _model_from_args(args)
+    if min(args.max_n, args.max_m) < 0:
+        raise UsageError("--max-n and --max-m must be >= 0")
+    if (args.max_n + 1) * (args.max_m + 1 if model.n_dof == 2 else 1) > _MAX_ROWS:
+        raise UsageError("spectrum exceeds 10^7 rows")
     sign = args.sign
     rows: List[Tuple[Tuple[int, ...], complex]] = []
     if model.n_dof == 1:
@@ -145,6 +152,8 @@ def _parse_grid(spec: str, space: VarSpace) -> List[Tuple[str, np.ndarray]]:
         name, rng = part.split("=", 1)
         if name not in names:
             raise UsageError(f"unknown grid variable '{name}' (have {names})")
+        if name in dict(axes):
+            raise UsageError(f"grid variable '{name}' given twice")
         bits = rng.split(":")
         if len(bits) != 3:
             raise UsageError(f"bad grid range '{rng}' (expected min:max:points)")
@@ -153,12 +162,12 @@ def _parse_grid(spec: str, space: VarSpace) -> List[Tuple[str, np.ndarray]]:
             raise UsageError("grid axes need at least 2 points")
         if lo >= hi:
             raise UsageError("grid axis needs min < max")
-        axes.append((name, np.linspace(lo, hi, pts)))
         total *= pts
+        if total > _MAX_ROWS:
+            raise UsageError("grid exceeds 10^7 points")
+        axes.append((name, np.linspace(lo, hi, pts)))
     if not axes:
         raise UsageError("empty grid specification")
-    if total > 10**7:
-        raise UsageError("grid exceeds 10^7 points")
     return axes
 
 

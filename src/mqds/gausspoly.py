@@ -114,57 +114,12 @@ def moments_scalar(Sigma: np.ndarray, mu: np.ndarray, needed: Sequence[Exponent]
     return {a: get(tuple(a)) for a in needed}
 
 
-class _Store:
-    """Append-only arrays that a chain of `_Layout`s shares, each reading a
-    prefix: the keys of the tables' entries, and per table its packed alpha,
-    first entry and size (the rows of `tables`).  `size` and `count` are
-    the filled lengths."""
-
-    __slots__ = ("keys", "tables", "size", "count")
-
-    def __init__(self, keys: np.ndarray, tables: np.ndarray, size: int, count: int) -> None:
-        self.keys, self.tables, self.size, self.count = keys, tables, size, count
-
-
 def _grown(array: np.ndarray, n: int) -> np.ndarray:
-    """A copy of `array` with room for at least n along its last axis (doubled,
-    so that each entry is copied O(1) times)."""
-    out = np.empty(array.shape[:-1] + (max(2 * array.shape[-1], n),), dtype=array.dtype)
-    out[..., :array.shape[-1]] = array
+    """A copy of `array` with room for at least n entries (doubled, so that
+    each entry is copied O(1) times)."""
+    out = np.empty(max(2 * len(array), n), dtype=array.dtype)
+    out[:len(array)] = array
     return out
-
-
-class _Layout:
-    """A state of the memos of one plan: the tables they hold, in the order
-    they were built (the first `count` rows of the store's tables), and
-    the keys of their entries (the first `size`)."""
-
-    __slots__ = ("store", "size", "count")
-
-    def __init__(self, store: _Store, size: int, count: int) -> None:
-        self.store, self.size, self.count = store, size, count
-
-    def index(self) -> np.ndarray:
-        """Rows alpha, start, size of the tables held, sorted by alpha."""
-        tables = self.store.tables[:, :self.count]
-        # a sorted run per degree built, which the stable sort merges
-        return tables[:, tables[0].argsort(kind="stable")]
-
-    def extend(self, keys: np.ndarray, tables: np.ndarray) -> "_Layout":
-        """This layout followed by the tables `tables` and their entries' `keys`."""
-        store = self.store
-        if (store.size, store.count) != (self.size, self.count):
-            # another layout extends this one already: the new one gets its own store
-            store = _Store(store.keys[:self.size], store.tables[:, :self.count], self.size, self.count)
-        size, count = self.size + len(keys), self.count + tables.shape[1]
-        if size > len(store.keys):
-            store.keys = _grown(store.keys[:self.size], size)
-        if count > store.tables.shape[1]:
-            store.tables = _grown(store.tables[:, :self.count], count)
-        store.keys[self.size:size] = keys
-        store.tables[:, self.count:count] = tables
-        store.size, store.count = size, count
-        return _Layout(store, size, count)
 
 
 class _Step:
@@ -191,38 +146,33 @@ class _Step:
 
 class _Program(NamedTuple):
     """What `moments_poly` does for one request from one state: the `_Step`
-    per degree built, the state after (None if unchanged), and per
-    requested table its first entry less its place in the result, and its
-    size, and the result's size."""
+    per degree built, the keys and index the memo holds after, the entries
+    of the requested tables in the result's order, and each one's size."""
 
     levels: List[_Step]
-    layout: _Layout | None
-    bases: np.ndarray
+    keys: np.ndarray
+    index: np.ndarray
+    at: np.ndarray
     sizes: np.ndarray
-    total: int
 
 
 class MomentPlan:
     """The structure of the moment recursion for one sparsity pattern: the
-    slot masks and ones of `_slots` restricted to the live weights, and the
-    root state, which holds E[z^0] = 1 at entry 0.  Which tables a request
-    builds, their keys and the order of every sum depend only on the
-    pattern, so the memos of every (Sigma, lin, shift) with that pattern
-    share the plan, and each memo adds only its numbers.
+    slot masks and ones of `_slots` restricted to the live weights.  Which
+    tables a request builds, their keys and the order of every sum depend
+    only on the pattern, so the memos of every (Sigma, lin, shift) with
+    that pattern share the plan, and each memo adds only its numbers.
 
-    The plan keeps the `_Program` of a memo's first request, from the root
-    (`needed` as bytes), which the memos of other contexts with the pattern
-    replay.  A memo's later requests, from states that depend on all its
-    earlier ones, are compiled, run and dropped, so that what the plan
-    keeps does not grow with a memo's history."""
+    The plan keeps the `_Program` of a memo's first request (`needed` as
+    bytes), which a memo of another context with the pattern replays when
+    its first request is the same.  A memo's later requests, from states
+    that depend on all its earlier ones, are compiled, run and dropped, so
+    that what the plan keeps does not grow with a memo's history."""
 
-    __slots__ = ("masks", "ones", "root", "programs", "__weakref__")
+    __slots__ = ("masks", "ones", "programs", "__weakref__")
 
     def __init__(self, masks: np.ndarray, ones: np.ndarray) -> None:
         self.masks, self.ones = masks, ones
-        tables = np.zeros((3, 64), dtype=np.int64)
-        tables[2, 0] = 1
-        self.root = _Layout(_Store(np.zeros(256, dtype=np.int64), tables, 1, 1), 1, 1)
         self.programs: Dict[bytes, _Program] = {}
 
 
@@ -233,27 +183,42 @@ _PLANS: "weakref.WeakValueDictionary[tuple, MomentPlan]" = weakref.WeakValueDict
 class MomentMemo:
     """The moment tables `moments_poly` has built for one (Sigma, lin, shift).
 
-    On first use the memo takes the plan of its sparsity pattern, the root
-    state as `layout`, and `weights`, the recursion's weights flattened per
-    last index i and slot (see `_slots`).  It keeps only the coefficients
-    of its tables, in the order of `layout`, which says which tables it
-    holds and where their entries sit.
+    The entries of every table sit in the flat arrays `keys` and `coeffs`,
+    in the order they were built, of which the first `size` are filled;
+    the rows of `index` are the tables' packed alphas, sorted, and each
+    one's first entry and size.  On first use the memo takes the plan of
+    its sparsity pattern, `weights`, the recursion's weights flattened per
+    last index i and slot (see `_slots`), and E[z^0] = 1 at entry 0.
+
+    A memo writes only past `size` or into a fresh array, and never writes
+    an index array once built, so a kept `_Program` may hold a view of the
+    keys and the index of the memo that compiled it.
     """
 
     def __init__(self) -> None:
         self.plan: MomentPlan | None = None
-        self.layout: _Layout | None = None
         self.weights: np.ndarray | None = None
+        self.keys = np.zeros(256, dtype=np.int64)
         self.coeffs = np.ones(256, dtype=complex)
+        self.size = 0
+        self.index = np.zeros((3, 0), dtype=np.int64)
 
     def __len__(self) -> int:
-        return 0 if self.layout is None else self.layout.count
+        return self.index.shape[1]
 
-    def reserve(self, size: int) -> np.ndarray:
-        """The coefficients, with room for `size` of them."""
-        if len(self.coeffs) < size:
-            self.coeffs = _grown(self.coeffs, size)
-        return self.coeffs
+    def add(self, keys: np.ndarray, tables: np.ndarray) -> None:
+        """Append the tables `tables` (rows alpha, first entry within `keys`,
+        size) and their entries' `keys`, with room for their coefficients."""
+        lo, hi = self.size, self.size + len(keys)
+        if hi > len(self.keys):
+            self.keys = _grown(self.keys[:lo], hi)
+        if hi > len(self.coeffs):
+            self.coeffs = _grown(self.coeffs[:lo], hi)
+        self.keys[lo:hi] = keys
+        self.size = hi
+        tables[1] += lo
+        index = np.concatenate((self.index, tables), axis=1)
+        self.index = index[:, index[0].argsort(kind="stable")]     # two sorted runs
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,8 +280,10 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
     order, and each one's size (read-only).  `memo` may be shared across
     calls with identical (Sigma, lin, shift).
 
-    A request runs the program that `_compile` makes, which the plan keeps
-    for a memo's first request (see `MomentPlan`): which tables to build
+    A request runs the program that `_compile` makes.  A memo that holds
+    only E[z^0] = 1 replays the plan's program for the same request when
+    there is one (see `MomentPlan`): it copies the program's keys and runs
+    its steps on its own weights.  A program says which tables to build
     and, per total degree, which entries each product reads, with which
     weight, and where it adds.  Running it takes, per degree, one gather
     of the entries read, one product with the part weights, a bincount
@@ -332,42 +299,42 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
     needed = np.array(needed, dtype=np.int64).reshape(-1, dim)
     if memo.plan is None:
         weights = np.concatenate((lin, shift[:, None], Sigma), axis=1).astype(complex)
-        memo.plan = _plan(dim, nw, bits, weights)
-        memo.layout, memo.weights = memo.plan.root, weights.ravel()
-    plan = memo.plan
-    program = plan.programs.get(needed.tobytes()) if memo.layout is plan.root else None
+        memo.plan, memo.weights = _plan(dim, nw, bits, weights), weights.ravel()
+        memo.size, memo.index = 1, np.array([[0], [0], [1]], dtype=np.int64)    # E[z^0] = 1
+    program = memo.plan.programs.get(needed.tobytes()) if len(memo) == 1 else None
     if program is None:
         program = _compile(memo, nw, bits, needed)
-    elif program.layout is not None:
-        coeffs = memo.reserve(program.layout.size)
+    else:
+        memo.keys, memo.index, memo.size = program.keys.copy(), program.index, len(program.keys)
+        memo.coeffs = _grown(memo.coeffs[:1], memo.size)
         for step in program.levels:
-            step.run(memo.weights, coeffs)
-        memo.layout = program.layout
-    at = np.repeat(program.bases, program.sizes) + np.arange(program.total)
-    return memo.layout.store.keys[at], memo.coeffs[at], program.sizes
+            step.run(memo.weights, memo.coeffs)
+    return memo.keys[program.at], memo.coeffs[program.at], program.sizes
 
 
 def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Program:
     """The program that builds the tables `needed` asks for and the memo
-    lacks, run on the memo; the plan keeps it when the memo is at the root.
+    lacks, run on the memo; the plan keeps it when the memo held only
+    E[z^0] = 1.
 
     A part of the recursion whose weight is exactly zero adds nothing, so
     it is skipped, and so is the table it would read.  The missing tables
     are found a total degree at a time from the top (degree L reads L - 1
-    for its mean parts and L - 2 for its Sigma parts), then built from the
-    bottom, a degree at a time.
+    for its mean parts and L - 2 for its Sigma parts), in the memo's
+    sorted index, then built from the bottom, a degree at a time, each
+    degree's keys and tables added to the memo before its step runs.
     """
-    plan, start = memo.plan, memo.layout
+    first = len(memo) == 1
     dim = needed.shape[1]
     degrees = needed.sum(axis=1)
     counts = np.bincount(degrees).tolist()
     check_packed_degree(len(counts) - 1, packed_bits(dim), dim)
     alphas = needed @ _slots(dim, nw, bits)[0]
-    index = start.index()
 
     # the walk: per degree from the top, the tables to build
     want: Dict[int, list] = {}
     walk = []
+    have = memo.index[0]
     for level in range(len(counts) - 1, 0, -1):
         cand = want.pop(level, [])
         if counts[level]:
@@ -375,40 +342,32 @@ def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Progr
         if not cand:
             continue
         cand = np.unique(np.concatenate(cand))
-        have = index[0]
         cand = cand[have.take(have.searchsorted(cand), mode="clip") != cand]
         if not len(cand):
             continue
-        parts = _parts(plan, nw, bits, cand)
+        parts = _parts(memo.plan, nw, bits, cand)
         walk.append((level, cand, parts))
         want.setdefault(level - 1, []).append(parts[-2])
         want.setdefault(level - 2, []).append(parts[-1])
 
     # a degree-L table has degree <= L in w, so its keys stay below L << top
     top = bits * max(nw - 1, 0)
-    layout, steps = start, []
+    steps = []
     for level, cand, (t, widx, factors, part_offsets, src, _, _) in reversed(walk):
-        starts, sizes = index[1:, index[0].searchsorted(src)]
+        starts, sizes = memo.index[1:, memo.index[0].searchsorted(src)]
         at = _entries(starts, sizes)
-        keys, inv, tables = _merge_tables(layout.store.keys[at], t, part_offsets, sizes,
+        keys, inv, tables = _merge_tables(memo.keys[at], t, part_offsets, sizes,
                                           cand, top + level.bit_length())
-        lo = layout.size
-        tables[1] += lo
-        step = _Step(at, widx, factors, sizes, inv, lo, lo + len(keys))
-        layout = layout.extend(keys, tables)
-        index = np.concatenate((index, tables), axis=1)
-        index = index[:, index[0].argsort(kind="stable")]     # two sorted runs
-        step.run(memo.weights, memo.reserve(layout.size))
+        step = _Step(at, widx, factors, sizes, inv, memo.size, memo.size + len(keys))
+        memo.add(keys, tables)
+        step.run(memo.weights, memo.coeffs)
         steps.append(step)
 
-    memo.layout = layout
-    starts, sizes = index[1:, index[0].searchsorted(alphas)]
+    starts, sizes = memo.index[1:, memo.index[0].searchsorted(alphas)]
     sizes.flags.writeable = False
-    ends = sizes.cumsum()
-    program = _Program(steps, None if layout is start else layout, starts - ends + sizes, sizes,
-                       int(ends[-1]) if len(ends) else 0)
-    if start is plan.root:
-        plan.programs[needed.tobytes()] = program
+    program = _Program(steps, memo.keys[:memo.size], memo.index, _entries(starts, sizes), sizes)
+    if first:
+        memo.plan.programs[needed.tobytes()] = program
     return program
 
 
@@ -562,7 +521,10 @@ class CompositionContext:
         scale = float(np.abs(AA).max(initial=0.0))
         tol = _EIG_TOL * max(scale, 1.0)
         eigs = np.linalg.eigvals(AA)
-        if np.abs(eigs).min() <= tol:
+        # a defective AA's zero eigenvalues come out far above tol: its
+        # singular values say whether it is singular
+        sv = np.linalg.svd(AA, compute_uv=False)
+        if sv[-1] <= _EIG_TOL * max(sv[0], 1.0):
             raise GaussianCompositionSingular("composed quadratic form is singular")
         for lam in eigs:
             if abs(lam.imag) <= tol and lam.real < 0:

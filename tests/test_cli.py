@@ -319,6 +319,44 @@ def test_missing_star_product_is_a_usage_error():
     assert r.stderr.splitlines() == ["mqds:ERROR: composed quadratic form is singular"]
 
 
+def test_defective_singular_star_product_is_a_usage_error():
+    r = run_cli("oracle", "--ndof", "2", "--f", "F00+", "--g", "G00", "--points", "0,0,0,0")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["mqds:ERROR: composed quadratic form is singular"]
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached past the input bounds")
+
+
+def test_grid_cap_is_checked_before_allocating(monkeypatch, tmp_path, caplog):
+    monkeypatch.setattr(np, "linspace", _unreachable)
+    argv = ["eigenfunction", "--model", "oscillator", "--grid", "x=-1:1:1000000000"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "grid exceeds 10^7 points" in caplog.text
+
+
+def test_repeated_grid_variable_is_a_usage_error(tmp_path, caplog):
+    argv = ["eigenfunction", "--model", "oscillator", "--grid", "x=-1:1:2,x=0:1:3"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "grid variable 'x' given twice" in caplog.text
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "dho", "--max-n", "100000", "--max-m", "100000"],
+    ["--model", "toy", "--max-n", "10000000"],
+    ["--model", "dho", "--max-n", "-1"],
+    ["--model", "toy", "--max-m", "-1"],
+])
+def test_spectrum_bounds_are_checked_before_computing(argv, monkeypatch, tmp_path):
+    monkeypatch.setattr(importlib.import_module("mqds.cli"), "spectrum", _unreachable)
+    assert main(["spectrum", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--hbar", "0"], ["verify", "--omega", "-1"],
     ["spectrum", "--model", "toy", "--hbar", "-1"], ["spectrum", "--model", "toy", "--hbar", "inf"],

@@ -104,13 +104,11 @@ def reference_compose(ctx, P1, P2, mu_memo, mv_memo):
 
 
 def memo_tables(memo, dim):
-    """The tables a `MomentMemo` holds, keyed by exponent tuple: the keys its
-    plan's layout gives them and the memo's coefficients."""
-    layout = memo.layout
-    alphas, starts, sizes = layout.store.tables[:, :layout.count].tolist()
+    """The tables a `MomentMemo` holds, keyed by exponent tuple: the keys and
+    coefficients its index places them at."""
+    alphas, starts, sizes = memo.index.tolist()
     exps = unpack(np.array(alphas, dtype=np.int64), dim, packed_bits(dim)).tolist()
-    keys = layout.store.keys
-    return {tuple(e): (keys[s:s + n], memo.coeffs[s:s + n]) for e, s, n in zip(exps, starts, sizes)}
+    return {tuple(e): (memo.keys[s:s + n], memo.coeffs[s:s + n]) for e, s, n in zip(exps, starts, sizes)}
 
 
 def nonzero(keys, coeffs):
@@ -288,8 +286,8 @@ def test_keys_in_the_top_fields():
     P2 = Poly(2, {(0, 16): 1.0 + 1j, (1, 15): 2.0, (3, 11): -1.0})
     ctx = CompositionContext(1, A1, b1, A2, b2)
     assert_same_composition(ctx, P1, P2, {}, {})
-    layout = ctx._mv_memo.layout
-    assert int(layout.store.keys[:layout.size].max()) >> 45 >= 8
+    memo = ctx._mv_memo
+    assert int(memo.keys[:memo.size].max()) >> 45 >= 8
 
 
 def test_table_batches_fit_int64():
@@ -327,9 +325,12 @@ def test_contexts_with_one_pattern_share_a_plan():
         assert_same_composition(ctx, P1, P2, {}, {})
     assert first._mu_memo.plan is second._mu_memo.plan
     assert first._mv_memo.plan is second._mv_memo.plan
-    layout = first._mv_memo.layout
-    assert second._mv_memo.layout is layout
-    assert not np.array_equal(first._mv_memo.coeffs[:layout.size], second._mv_memo.coeffs[:layout.size])
+    # the second memo replays the first one's program: the same keys, in a
+    # copy of its own, and its own numbers
+    one, two = first._mv_memo, second._mv_memo
+    assert two.keys[:two.size].tobytes() == one.keys[:one.size].tobytes()
+    assert not np.shares_memory(one.keys, two.keys)
+    assert not np.array_equal(one.coeffs[:one.size], two.coeffs[:two.size])
     # a third context's first request shares the first one's low-degree
     # tables and differs at the top: it builds its own tables from the root,
     # and the first context's stay as they were
@@ -340,6 +341,40 @@ def test_contexts_with_one_pattern_share_a_plan():
     assert third._mv_memo.plan is first._mv_memo.plan
     assert len(third._mv_memo) > len(first._mv_memo)
     assert_same_composition(first, P1, P2, {}, {})
+
+
+def test_replay_after_the_compiling_memo_grew():
+    # memo A compiles a first request, which the plan keeps with a view of
+    # A's keys, then grows in place by a later request; B replays the kept
+    # program and takes another later request; C replays it too.  Every
+    # memo holds the reference's tables, and no two share a buffer
+    rng = np.random.default_rng(79)
+    dim, nw, bits = 2, 3, 13
+    first = [(2, 1), (0, 3)]
+    memos = []
+    for requests in ((first, [(3, 1), (0, 4)]), (first, [(4, 0), (2, 2)]), (first,)):
+        R = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        Sigma = R @ R.T + np.eye(dim)
+        lin = rng.normal(size=(dim, nw)) + 1j * rng.normal(size=(dim, nw))
+        shift = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        memo, ref = MomentMemo(), {}
+        for needed in requests:
+            got = split_tables(moments_poly(Sigma, lin, shift, bits, needed, memo), needed)
+            want = reference_moments_poly(Sigma, lin, shift, bits, needed, ref)
+            for alpha in map(tuple, needed):
+                keys, coeffs = nonzero(*got[alpha])
+                assert np.array_equal(keys, want[alpha][0]), alpha
+                assert coeffs.tobytes() == want[alpha][1].tobytes(), alpha
+            assert_same_tables(memo, ref, needed)
+        memos.append(memo)
+    a, b, c = memos
+    assert a.plan is b.plan is c.plan
+    kept = a.plan.programs[np.array(first, dtype=np.int64).tobytes()]
+    assert np.shares_memory(kept.keys, a.keys) and a.size > len(kept.keys)
+    assert b.size > c.size == len(kept.keys)
+    for one, two in ((a, b), (a, c), (b, c)):
+        assert not np.shares_memory(one.keys, two.keys)
+        assert not np.shares_memory(one.coeffs, two.coeffs)
 
 
 def test_cancellation_keeps_a_zero_entry():

@@ -137,6 +137,13 @@ def test_singular_composition_raises(space):
         star(toy_resonant(0, "+", space), toy_resonant(0, "-", space))
 
 
+def test_defective_singular_composition_raises(space2):
+    # F00+ * G00: the composed form has rank 6 of 8 and is defective, so its
+    # zero eigenvalues come out near 1e-8; its singular values show it
+    with pytest.raises(GaussianCompositionSingular):
+        star(dho_f(0, 0, "+", space2), dho_g(0, 0, space2))
+
+
 # -- terminating series ------------------------------------------------------------
 
 def reference_series(f, g, bound):
