@@ -280,30 +280,35 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
     order, and each one's size (read-only).  `memo` may be shared across
     calls with identical (Sigma, lin, shift).
 
-    A request runs the program that `_compile` makes.  A memo that holds
-    only E[z^0] = 1 replays the plan's program for the same request when
-    there is one (see `MomentPlan`): it copies the program's keys and runs
-    its steps on its own weights.  A program says which tables to build
-    and, per total degree, which entries each product reads, with which
-    weight, and where it adds.  Running it takes, per degree, one gather
-    of the entries read, one product with the part weights, a bincount
-    each for the real and imaginary parts (each sums in input order), and
-    one store.  A table keeps every key that a part of the recursion
-    reaches, also where the coefficient cancels to exactly 0, so that its
-    keys do not depend on the numbers: callers merge the tables into their
-    products and drop those zeros there.  The zeros add only +-0 to other
-    sums, whose bincounts start at +0, so every other coefficient is
-    bit-identical to the table-by-table recursion.
+    A memo that holds every requested table answers from its index
+    (`_held`).  Other requests run the program that `_compile` makes, and a
+    memo that holds only E[z^0] = 1 replays the plan's program for the same
+    request when there is one (see `MomentPlan`): it copies the program's
+    keys and runs its steps on its own weights.  A program says which
+    tables to build and, per total degree, which entries each product
+    reads, with which weight, and where it adds.  Running it takes, per
+    degree, one gather of the entries read, one product with the part
+    weights, a bincount each for the real and imaginary parts (each sums in
+    input order), and one store.  A table keeps every key that a part of
+    the recursion reaches, also where the coefficient cancels to exactly 0,
+    so that its keys do not depend on the numbers: callers merge the tables
+    into their products and drop those zeros there.  The zeros add only
+    +-0 to other sums, whose bincounts start at +0, so every other
+    coefficient is bit-identical to the table-by-table recursion.
     """
     dim, nw = lin.shape
     needed = np.array(needed, dtype=np.int64).reshape(-1, dim)
+    check_packed_degree(needed.sum(axis=1).max(initial=0), packed_bits(dim), dim)
+    alphas = needed @ _slots(dim, nw, bits)[0]
     if memo.plan is None:
         weights = np.concatenate((lin, shift[:, None], Sigma), axis=1).astype(complex)
         memo.plan, memo.weights = _plan(dim, nw, bits, weights), weights.ravel()
         memo.size, memo.index = 1, np.array([[0], [0], [1]], dtype=np.int64)    # E[z^0] = 1
+    elif len(memo) > 1 and (held := _held(memo, alphas)) is not None:
+        return memo.keys[held[0]], memo.coeffs[held[0]], held[1]
     program = memo.plan.programs.get(needed.tobytes()) if len(memo) == 1 else None
     if program is None:
-        program = _compile(memo, nw, bits, needed)
+        program = _compile(memo, nw, bits, needed, alphas)
     else:
         memo.keys, memo.index, memo.size = program.keys.copy(), program.index, len(program.keys)
         memo.coeffs = _grown(memo.coeffs[:1], memo.size)
@@ -312,7 +317,7 @@ def moments_poly(Sigma: np.ndarray, lin: np.ndarray, shift: np.ndarray, bits: in
     return memo.keys[program.at], memo.coeffs[program.at], program.sizes
 
 
-def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Program:
+def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray, alphas: np.ndarray) -> _Program:
     """The program that builds the tables `needed` asks for and the memo
     lacks, run on the memo; the plan keeps it when the memo held only
     E[z^0] = 1.
@@ -322,14 +327,13 @@ def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Progr
     are found a total degree at a time from the top (degree L reads L - 1
     for its mean parts and L - 2 for its Sigma parts), in the memo's
     sorted index, then built from the bottom, a degree at a time, each
-    degree's keys and tables added to the memo before its step runs.
+    degree's keys and tables added to the memo before its step runs.  A
+    sort and a neighbour test stand in for np.unique, which costs more on
+    short arrays and whose first call imports numpy.ma (5 ms, numpy 2.4).
     """
     first = len(memo) == 1
-    dim = needed.shape[1]
     degrees = needed.sum(axis=1)
     counts = np.bincount(degrees).tolist()
-    check_packed_degree(len(counts) - 1, packed_bits(dim), dim)
-    alphas = needed @ _slots(dim, nw, bits)[0]
 
     # the walk: per degree from the top, the tables to build
     want: Dict[int, list] = {}
@@ -341,8 +345,11 @@ def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Progr
             cand.append(alphas[degrees == level])
         if not cand:
             continue
-        cand = np.unique(np.concatenate(cand))
-        cand = cand[have.take(have.searchsorted(cand), mode="clip") != cand]
+        cand = np.concatenate(cand)
+        cand.sort()
+        fresh = have.take(have.searchsorted(cand), mode="clip") != cand
+        fresh[1:] &= cand[1:] != cand[:-1]                 # the first of each run
+        cand = cand[fresh]
         if not len(cand):
             continue
         parts = _parts(memo.plan, nw, bits, cand)
@@ -363,12 +370,20 @@ def _compile(memo: MomentMemo, nw: int, bits: int, needed: np.ndarray) -> _Progr
         step.run(memo.weights, memo.coeffs)
         steps.append(step)
 
-    starts, sizes = memo.index[1:, memo.index[0].searchsorted(alphas)]
-    sizes.flags.writeable = False
-    program = _Program(steps, memo.keys[:memo.size], memo.index, _entries(starts, sizes), sizes)
+    program = _Program(steps, memo.keys[:memo.size], memo.index, *_held(memo, alphas))
     if first:
         memo.plan.programs[needed.tobytes()] = program
     return program
+
+
+def _held(memo: MomentMemo, alphas: np.ndarray) -> Tuple[np.ndarray, np.ndarray] | None:
+    """The entries of the tables `alphas` and their sizes (read-only), or None if one is missing."""
+    rows = memo.index[0].searchsorted(alphas)
+    if not np.array_equal(memo.index[0].take(rows, mode="clip"), alphas):
+        return None
+    starts, sizes = memo.index[1:, rows]
+    sizes.flags.writeable = False
+    return _entries(starts, sizes), sizes
 
 
 def _parts(plan: MomentPlan, nw: int, bits: int, cand: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -625,14 +640,14 @@ _CTX_CACHE: Dict[tuple, CompositionContext] = {}
 
 def composition_context(n_dof: int, A1: np.ndarray, b1: np.ndarray,
                         A2: np.ndarray, b2: np.ndarray) -> CompositionContext:
-    # keyed by the exponents' exact bytes: a context serves only the
-    # exponents it was built from, so a product does not depend on what
-    # the cache held before
+    """The context of (A1, b1, A2, b2), keyed by the exponents' exact bytes
+    so that a product does not depend on what the cache held before.  The
+    cache keeps its 128 most recently used contexts, and their plans."""
     key = (n_dof, A1.tobytes(), b1.tobytes(), A2.tobytes(), b2.tobytes())
-    ctx = _CTX_CACHE.get(key)
+    ctx = _CTX_CACHE.pop(key, None)
     if ctx is None:
-        if len(_CTX_CACHE) > 128:
-            _CTX_CACHE.clear()
         ctx = CompositionContext(n_dof, A1, b1, A2, b2)
-        _CTX_CACHE[key] = ctx
+        if len(_CTX_CACHE) >= 128:
+            del _CTX_CACHE[next(iter(_CTX_CACHE))]     # the least recently used
+    _CTX_CACHE[key] = ctx                              # newest last
     return ctx

@@ -16,6 +16,8 @@ exactly 0 stays in the memo where the reference's merge drops it.
 import json
 import math
 import operator
+import subprocess
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -138,15 +140,21 @@ def assert_same_tables(memo, want, needed):
         assert coeffs.tobytes() == want[alpha][1].tobytes(), alpha
 
 
-def assert_same_moments(Sigma, lin, shift, bits, needed):
-    """`moments_poly` on a fresh memo returns and keeps the reference's tables."""
-    memo, ref = MomentMemo(), {}
-    got = split_tables(moments_poly(Sigma, lin, shift, bits, needed, memo), needed)
-    want = reference_moments_poly(Sigma, lin, shift, bits, needed, ref)
+def assert_reference_moments(result, form, bits, needed, ref):
+    """A `moments_poly` result holds the reference's tables for (Sigma,
+    lin, shift) = form, but for exact zeros; the reference fills `ref`."""
+    got = split_tables(result, needed)
+    want = reference_moments_poly(*form, bits, needed, ref)
     for alpha in map(tuple, needed):
         keys, coeffs = nonzero(*got[alpha])
         assert np.array_equal(keys, want[alpha][0]), alpha
         assert coeffs.tobytes() == want[alpha][1].tobytes(), alpha
+
+
+def assert_same_moments(Sigma, lin, shift, bits, needed):
+    """`moments_poly` on a fresh memo returns and keeps the reference's tables."""
+    memo, ref, form = MomentMemo(), {}, (Sigma, lin, shift)
+    assert_reference_moments(moments_poly(*form, bits, needed, memo), form, bits, needed, ref)
     assert_same_tables(memo, ref, needed)
     return memo, ref
 
@@ -208,6 +216,13 @@ def random_term_pair(rng, n_dof, terms, top):
                         for _ in range(terms)})
         out.append((A, b, poly))
     return out
+
+
+def random_moment_form(rng, dim, nw):
+    """A dense (Sigma, lin, shift): every weight of the recursion is live."""
+    R = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (R @ R.T + np.eye(dim), rng.normal(size=(dim, nw)) + 1j * rng.normal(size=(dim, nw)),
+            rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
 @pytest.mark.parametrize("n_dof, top", [(1, 7), (2, 3)])
@@ -353,18 +368,9 @@ def test_replay_after_the_compiling_memo_grew():
     first = [(2, 1), (0, 3)]
     memos = []
     for requests in ((first, [(3, 1), (0, 4)]), (first, [(4, 0), (2, 2)]), (first,)):
-        R = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        Sigma = R @ R.T + np.eye(dim)
-        lin = rng.normal(size=(dim, nw)) + 1j * rng.normal(size=(dim, nw))
-        shift = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        memo, ref = MomentMemo(), {}
+        form, memo, ref = random_moment_form(rng, dim, nw), MomentMemo(), {}
         for needed in requests:
-            got = split_tables(moments_poly(Sigma, lin, shift, bits, needed, memo), needed)
-            want = reference_moments_poly(Sigma, lin, shift, bits, needed, ref)
-            for alpha in map(tuple, needed):
-                keys, coeffs = nonzero(*got[alpha])
-                assert np.array_equal(keys, want[alpha][0]), alpha
-                assert coeffs.tobytes() == want[alpha][1].tobytes(), alpha
+            assert_reference_moments(moments_poly(*form, bits, needed, memo), form, bits, needed, ref)
             assert_same_tables(memo, ref, needed)
         memos.append(memo)
     a, b, c = memos
@@ -412,6 +418,83 @@ def test_plan_dies_with_its_last_context():
     assert plan() is not None
     del contexts[0]
     assert plan() is None and pattern not in gausspoly._PLANS
+
+
+# -- requests the memo holds, and the context cache ---------------------------
+
+def test_held_tables_answer_without_compiling(monkeypatch):
+    # a memo that holds every requested table answers from its index: the
+    # request compiles nothing, in any order and with repeats, and its
+    # sizes are read-only like a compiled request's
+    form, bits = random_moment_form(np.random.default_rng(89), 2, 3), 13
+    memo, ref = MomentMemo(), {}
+    moments_poly(*form, bits, list(multi_indices(2, 4)), memo)
+    held = len(memo)
+
+    def no_compile(*args):
+        raise AssertionError("compiled a request the memo holds")
+
+    monkeypatch.setattr(gausspoly, "_compile", no_compile)
+    for needed in ([(4, 0), (1, 2), (0, 0)], [(2, 2), (2, 2), (0, 1), (3, 1)]):
+        result = moments_poly(*form, bits, needed, memo)
+        assert not result[2].flags.writeable
+        assert_reference_moments(result, form, bits, needed, ref)
+    assert len(memo) == held
+    # the packed-degree check still guards a request that would alias a held table
+    with pytest.raises(ValueError):
+        moments_poly(*form, bits, [(1 << 31, 0)], memo)
+
+
+def test_request_lacking_tables_compiles(monkeypatch):
+    # one missing table sends the whole request to `_compile`, which builds
+    # only what the memo lacks
+    form, bits = random_moment_form(np.random.default_rng(97), 2, 3), 13
+    memo, ref, first = MomentMemo(), {}, list(multi_indices(2, 3))
+    assert_reference_moments(moments_poly(*form, bits, first, memo), form, bits, first, ref)
+    calls = []
+    compile_ = gausspoly._compile
+    monkeypatch.setattr(gausspoly, "_compile", lambda *args: calls.append(1) or compile_(*args))
+    needed = [(1, 1), (3, 2), (0, 2)]
+    result = moments_poly(*form, bits, needed, memo)
+    assert len(calls) == 1 and not result[2].flags.writeable
+    assert_reference_moments(result, form, bits, needed, ref)
+    assert_same_tables(memo, ref, needed)
+
+
+def test_family_products_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call (numpy 2.4), about 5 ms
+    # inside a fresh process's first product; the moment walk does without it
+    code = ("import sys\n"
+            "from mqds import VarSpace, dho_f, oscillator_wigner, star\n"
+            "one, two = VarSpace(1, 1.0), VarSpace(2, 1.0)\n"
+            "star(oscillator_wigner(3, one), oscillator_wigner(2, one))\n"
+            "star(dho_f(2, 1, '+', two), dho_f(1, 1, '+', two))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+def test_cache_keeps_the_context_in_use(monkeypatch):
+    # 256 other contexts pass through the cache while one is used between
+    # each: the cache never holds more than 128, it evicts the others, and
+    # the context in use stays, with products bit-identical to a fresh one's
+    cache = {}
+    monkeypatch.setattr(gausspoly, "_CTX_CACHE", cache)
+    rng = np.random.default_rng(83)
+    (A1, b1, P1), (A2, b2, P2) = random_term_pair(rng, 1, 5, 4)
+    kept = gausspoly.composition_context(1, A1, b1, A2, b2)
+    want = kept.compose(P1, P2)
+    others = []
+    for _ in range(256):
+        (B1, c1, _), (B2, c2, _) = random_term_pair(rng, 1, 1, 2)
+        others.append(gausspoly.composition_context(1, B1, c1, B2, c2))
+        assert len(cache) <= 128
+        assert gausspoly.composition_context(1, A1, b1, A2, b2) is kept
+    assert len(cache) == 128
+    assert set(map(id, cache.values())) == set(map(id, [kept, *others[-127:]]))
+    assert_same_poly(kept.compose(P1, P2), want)
+    assert_same_poly(CompositionContext(1, A1, b1, A2, b2).compose(P1, P2), want)
 
 
 # -- natural units -------------------------------------------------------------
