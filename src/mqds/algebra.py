@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .gausspoly import integrate_poly_exp, sym
-from .poly import Exponent, Poly, check_packed_degree, packed_bits, packed_diff
+from .poly import Exponent, Poly, _summed, check_packed_degree, packed_bits, packed_diff, unpack
 
 PRUNE_REL_TOL = 1e-13      # relative to the largest coefficient, z in units of sqrt(hbar)
 EXPO_EQ_TOL = 1e-12        # absolute, entrywise, for term merging
@@ -104,9 +104,9 @@ class QGTerm:
         dim = self.poly.dim
         bits = packed_bits(dim)
         check_packed_degree(self.poly.degree() + 1, bits, dim)
-        keys, coeffs = packed_diff(*self.poly.to_packed(bits), index, bits,
+        keys, coeffs = packed_diff(self.poly.keys, self.poly.coeffs, index, bits,
                                    -self.expo.A[index], self.expo.b[index])
-        return QGTerm(Poly.from_packed(dim, bits, keys, coeffs), self.expo)
+        return QGTerm(Poly.from_packed(dim, keys, coeffs), self.expo)
 
     def mul(self, other: "QGTerm") -> "QGTerm":
         expo = QuadExponent(self.expo.A + other.expo.A,
@@ -161,10 +161,7 @@ class QGFunction:
     def polynomial_part(self) -> Poly:
         if not self.is_polynomial():
             raise ValueError("function has non-trivial exponents")
-        out = Poly(self.space.dim)
-        for t in self.terms:
-            out = out + t.poly
-        return out
+        return _summed(self.space.dim, [t.poly for t in self.terms])
 
     def _check_space(self, other: "QGFunction") -> None:
         if self.space != other.space:
@@ -218,7 +215,8 @@ class QGFunction:
             # monomials and exponent grown from the 1-D axes by broadcasting,
             # so at most three full-size arrays (vals, pv, q) are alive at once
             pv = np.zeros(shape, dtype=complex)
-            for e, coef in t.poly.terms.items():
+            exps = unpack(t.poly.keys, d, packed_bits(d))
+            for e, coef in zip(exps.tolist(), t.poly.coeffs.tolist()):
                 mono = coef
                 for x, k in zip(xs, e):
                     if k:
@@ -333,24 +331,21 @@ def _add_into(acc, term: np.ndarray):
 
 def _canonicalize(space: VarSpace, terms: List[QGTerm]) -> List[QGTerm]:
     """Merge equal exponents, fold constant exponents, prune tiny coefficients."""
-    merged: List[QGTerm] = []
+    groups: List[Tuple[QuadExponent, List[Poly]]] = []
     for t in terms:
         if t.poly.is_zero():
             continue
-        expo = t.expo
+        poly, expo = t.poly, t.expo
         # fold e^c into the polynomial so the (A, b) pair keys the term uniquely
         if abs(expo.c) > 0:
-            t = QGTerm(t.poly.scaled(np.exp(expo.c)), QuadExponent(expo.A, expo.b, 0.0))
-            expo = t.expo
-        hit = None
-        for m in merged:
-            if m.expo.close_to(expo):
-                hit = m
+            poly, expo = poly.scaled(np.exp(expo.c)), QuadExponent(expo.A, expo.b, 0.0)
+        for seen, polys in groups:
+            if seen.close_to(expo):
+                polys.append(poly)
                 break
-        if hit is None:
-            merged.append(QGTerm(t.poly.copy(), expo))
         else:
-            hit.poly.add_scaled(t.poly, 1.0)
+            groups.append((expo, [poly]))
+    merged = [QGTerm(_summed(space.dim, polys), expo) for expo, polys in groups]
 
     # weigh the coefficient of z^e by sqrt(hbar)^|e|, its size in the natural
     # unit of z, so that the cut does not depend on the unit (at hbar = 100 the

@@ -465,8 +465,9 @@ def integrate_poly_exp(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly) -> 
     Ainv = np.linalg.inv(A)
     mu = Ainv @ b
     base = (2.0 * math.pi) ** (d / 2.0) / _branch_sqrt_det(eigs) * np.exp(0.5 * b @ mu + c)
-    mom = moments_scalar(Ainv, mu, list(poly.terms))
-    return complex(base * sum(coef * mom[e] for e, coef in poly.terms.items()))
+    exps = list(map(tuple, unpack(poly.keys, d, packed_bits(d)).tolist()))
+    mom = moments_scalar(Ainv, mu, exps)
+    return complex(base * sum(coef * mom[e] for e, coef in zip(exps, poly.coeffs.tolist())))
 
 
 def integrate_partial(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
@@ -501,12 +502,11 @@ def integrate_partial(A: np.ndarray, b: np.ndarray, c: complex, poly: Poly,
     # part, whose mean is affine in the kept variables
     bits = packed_bits(max(nk, 1))
     check_packed_degree(poly.degree(), bits, nk)
-    exps = np.array(list(poly.terms), dtype=np.int64)
+    exps = unpack(poly.keys, d, packed_bits(d))
     mom_keys, mom_coeffs, sizes = moments_poly(M_inv, -M_inv @ A_sk, M_inv @ b_s, bits,
                                                exps[:, out_idx], MomentMemo())
     keys = np.repeat(pack(exps[:, keep_idx], bits), sizes) + mom_keys
-    coeffs = np.repeat(list(poly.terms.values()), sizes) * mom_coeffs
-    new_poly = Poly.from_packed(nk, bits, *merge(keys, coeffs))
+    new_poly = Poly.from_packed(nk, *merge(keys, np.repeat(poly.coeffs, sizes) * mom_coeffs))
     return A_new, b_new, complex(c_new), new_poly.scaled(pref)
 
 
@@ -581,12 +581,13 @@ class CompositionContext:
         the result is sum_kappa phi_kappa psi_kappa, where
         psi_kappa = sum_{gamma >= kappa} c1_gamma gamma!/(gamma-kappa)! mu_{gamma-kappa}.
         """
-        d, bits = self.d, self.bits
+        d, bits, poly_bits = self.d, self.bits, packed_bits(self.d)
         if P1.is_zero() or P2.is_zero():
             return Poly(d)
         check_packed_degree(P1.degree() + P2.degree(), bits, 2 * d)
-        mv_keys, mv_coeffs, sizes = moments_poly(self.G_vv, *self._v_form, bits, list(P2.terms), self._mv_memo)
-        keys, coeffs = merge(mv_keys, np.repeat(list(P2.terms.values()), sizes) * mv_coeffs)
+        mv_keys, mv_coeffs, sizes = moments_poly(self.G_vv, *self._v_form, bits,
+                                                 unpack(P2.keys, d, poly_bits), self._mv_memo)
+        keys, coeffs = merge(mv_keys, np.repeat(P2.coeffs, sizes) * mv_coeffs)
         # keys are sorted, and u sits in the high fields: each kappa is one run
         z_bits = bits * d
         high = keys >> z_bits
@@ -597,7 +598,7 @@ class CompositionContext:
         kappas, bounds = high[starts], np.append(starts, len(keys))
         runs = bounds[1:] - starts
         kappa_exps = unpack(kappas, d, bits)
-        gammas = np.array(list(P1.terms), dtype=np.int64)
+        gammas = unpack(P1.keys, d, poly_bits)
         fits = np.ones((len(kappas), len(gammas)), dtype=bool)
         for axis in range(d):
             fits &= kappa_exps[:, axis, None] <= gammas[:, axis]
@@ -605,7 +606,7 @@ class CompositionContext:
         gam, kap = gammas[gi], kappa_exps[ki]
         # c1 gamma!/(gamma-kappa)!, multiplied axis by axis as c1 * perm(g0, k0) * perm(g1, k1) ...
         perms = _falling_factorials(int(gammas.max()) + 1)
-        weights = np.array(list(P1.terms.values()), dtype=complex)[gi]
+        weights = P1.coeffs[gi]
         for axis in range(d):
             weights = weights * perms[gam[:, axis], kap[:, axis]]
         u_keys, u_coeffs, n = moments_poly(self.G_uu, *self._u_form, bits, gam - kap, self._mu_memo)
@@ -631,8 +632,10 @@ class CompositionContext:
             counts = np.repeat(hi - lo, runs[r0:r1])
             ia, ib = np.repeat(np.arange(len(counts)), counts), _entries(np.repeat(lo, runs[r0:r1]), counts)
             out.append(merge(keys[a0:a1][ia] + psi_keys[ib], coeffs[a0:a1][ia] * psi_coeffs[ib]))
-        return Poly.from_packed(d, bits, *merge(np.concatenate([k for k, _ in out]) & ((1 << z_bits) - 1),
-                                                np.concatenate([c for _, c in out])))
+        keys, coeffs = merge(np.concatenate([k for k, _ in out]) & ((1 << z_bits) - 1),
+                             np.concatenate([c for _, c in out]))
+        # to the product's own fields, which are as wide or wider: the order holds
+        return Poly.from_packed(d, pack(unpack(keys, d, bits), poly_bits), coeffs)
 
 
 _CTX_CACHE: Dict[tuple, CompositionContext] = {}

@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
 from .gausspoly import integrate_partial, sym
-from .poly import Poly
+from .poly import Poly, _summed
 from .star import star
 
 
@@ -193,9 +193,8 @@ def _built_once_per_run(build: Callable[..., QGFunction]) -> Callable[..., QGFun
 
 def _value_key(f: QGFunction) -> tuple:
     """f's space and terms to the bit, in stored order."""
-    return (f.space, tuple((tuple(t.poly.terms),
-                            np.array([*t.poly.terms.values(), t.expo.c], dtype=complex).tobytes()
-                            + t.expo.A.tobytes() + t.expo.b.tobytes())
+    return (f.space, tuple((t.poly.keys.tobytes(), t.poly.coeffs.tobytes(),
+                            np.complex128(t.expo.c).tobytes(), t.expo.A.tobytes(), t.expo.b.tobytes())
                            for t in f.terms))
 
 
@@ -243,14 +242,10 @@ def laguerre_coeffs(n: int) -> List[float]:
 
 def _radial_poly(space: VarSpace, coeffs: Sequence[float], unit: Poly) -> Poly:
     """sum_k coeffs[k] * unit^k."""
-    out = Poly(space.dim)
-    power = Poly.const(space.dim, 1.0)
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            out.add_scaled(power, c)
-        if k + 1 < len(coeffs):
-            power = power.mul(unit)
-    return out
+    powers = [Poly.const(space.dim, 1.0)]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1].mul(unit))
+    return _summed(space.dim, [p.scaled(c) for p, c in zip(powers, coeffs)])
 
 
 def oscillator_wigner(n: int, space: VarSpace) -> QGFunction:

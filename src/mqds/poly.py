@@ -1,17 +1,18 @@
-"""Sparse complex polynomials in several variables.
+"""Sparse complex polynomials in several variables, on packed exponents.
 
-Exponent tuples index complex coefficients; the empty map is the zero
-polynomial.  Serialization order is graded lexicographic.
-
-The hot kernels run on packed exponents: a monomial's exponent tuple packs
-into one int64 key, variable i in bits [bits*i, bits*(i+1)), so that adding
-keys multiplies monomials as long as no exponent reaches 2**bits.  The
-moment recursion keeps its tables in this form, and the bidifferential
-series and derivatives run on it (`packed_diff`).
+A monomial's exponent tuple packs into one int64 key, variable i in bits
+[bits*i, bits*(i+1)) with bits = packed_bits(dim), so that adding keys
+multiplies monomials as long as no exponent reaches 2**bits.  A `Poly`
+holds its keys distinct and sorted, with their coefficients and no exact
+zero, as `merge` returns them: products, the bidifferential series and
+derivatives (`packed_diff`), the moment tables and the Gaussian
+composition read and return that form.  Serialization order is graded
+lexicographic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -23,30 +24,45 @@ Exponent = Tuple[int, ...]
 
 
 class Poly:
-    """Polynomial over ``dim`` complex variables, stored as {exponent: coeff}."""
+    """Polynomial over ``dim`` complex variables: distinct sorted int64 keys,
+    packed_bits(dim) bits per variable, and their nonzero coefficients.
+    Immutable, so results may share arrays with their operands."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "keys", "coeffs", "_degree")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, complex] | None = None):
-        self.dim = int(dim)
-        self.terms: Dict[Exponent, complex] = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != self.dim:
-                    raise ValueError(f"exponent {tuple(e)} has {len(e)} entries, not dim = {self.dim}")
-                c = complex(c)
-                if c != 0:
-                    e = tuple(int(k) for k in e)
-                    acc = self.terms.get(e, 0j) + c
-                    if acc == 0:
-                        self.terms.pop(e, None)
-                    else:
-                        self.terms[e] = acc
+        """sum c z^e over the items of `terms`; ValueError unless each exponent
+        has `dim` entries, each an integer from 0 to 2**packed_bits(dim) - 1."""
+        self.dim = dim = int(dim)
+        self._degree = None
+        if not terms:
+            self.keys, self.coeffs = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+            return
+        for e in terms:
+            if len(e) != dim:
+                raise ValueError(f"exponent {tuple(e)} has {len(e)} entries, not dim = {dim}")
+        bits = packed_bits(dim)
+        try:
+            exps = np.array([[operator.index(k) for k in e] for e in terms], dtype=np.int64)
+        except (TypeError, OverflowError):
+            exps = None
+        if exps is None or exps.min() < 0 or exps.max() >> bits:
+            raise ValueError(f"an exponent is not an integer from 0 to {(1 << bits) - 1}, "
+                             f"the packed field of each of {dim} variables")
+        self.keys, self.coeffs = merge(pack(exps, bits), np.array(list(terms.values()), dtype=complex))
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def from_packed(cls, dim: int, keys: np.ndarray, coeffs: np.ndarray) -> "Poly":
+        """The polynomial of packed_bits(dim)-bit keys and coefficients as
+        `merge` returns them, holding both arrays (no copy)."""
+        p = cls.__new__(cls)
+        p.dim, p.keys, p.coeffs, p._degree = dim, keys, coeffs, None
+        return p
+
+    @classmethod
     def const(cls, dim: int, c: complex) -> "Poly":
-        return cls(dim, {(0,) * dim: c} if c != 0 else None)
+        return _nonzero(dim, np.zeros(1, dtype=np.int64), np.array([c], dtype=complex))
 
     @classmethod
     def monomial(cls, dim: int, expo: Exponent, c: complex = 1.0) -> "Poly":
@@ -54,194 +70,175 @@ class Poly:
 
     @classmethod
     def variable(cls, dim: int, index: int, c: complex = 1.0) -> "Poly":
-        e = [0] * dim
-        e[index] = 1
-        return cls(dim, {tuple(e): c})
+        return _nonzero(dim, np.array([1 << packed_bits(dim) * index], dtype=np.int64),
+                        np.array([c], dtype=complex))
 
     @classmethod
     def linear(cls, coeffs, const: complex = 0.0) -> "Poly":
         """c0 + sum_i coeffs[i] * z_i."""
         dim = len(coeffs)
-        terms: Dict[Exponent, complex] = {}
-        for i, a in enumerate(coeffs):
-            if a != 0:
-                e = [0] * dim
-                e[i] = 1
-                terms[tuple(e)] = complex(a)
-        if const != 0:
-            terms[(0,) * dim] = complex(const)
-        return cls(dim, terms)
+        keys = np.array([0, *(1 << packed_bits(dim) * i for i in range(dim))], dtype=np.int64)
+        return _nonzero(dim, keys, np.array([const, *coeffs], dtype=complex))
 
     # -- predicates / metrics ----------------------------------------------
+    def _exponents(self) -> np.ndarray:
+        """The exponent rows, in key order."""
+        return unpack(self.keys, self.dim, packed_bits(self.dim))
+
+    def _sizes(self, unit: float) -> np.ndarray:
+        """|c| * unit^|e| per term: each coefficient's size once z is measured in `unit`."""
+        sizes = np.abs(self.coeffs)
+        if unit != 1.0:
+            # every weight is 1 (hbar = 1): skipping them gives the same sizes
+            # with less work, on the hot canonicalization path
+            sizes *= unit ** self._exponents().sum(axis=1)
+        return sizes
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.keys)
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        """Total degree, -1 for the zero polynomial; found once per polynomial."""
+        if self._degree is None:
+            self._degree = int(np.add.reduce(self._exponents(), axis=1).max(initial=-1))
+        return self._degree
 
     def coeff_abs_sum(self, unit: float) -> float:
         """Sum of |c| * unit^|e|: the coefficient mass once z is measured in `unit`."""
-        return float(sum(abs(c) * unit ** sum(e) for e, c in self.terms.items()))
+        return float(self._sizes(unit).sum())
 
     def max_abs_coeff(self, unit: float = 1.0) -> float:
         """Largest |c| * unit^|e|: the coefficient size once z is measured in `unit`."""
-        if unit == 1.0:
-            # every weight is 1 (hbar = 1): skipping them gives the same result
-            # with less work per term, on the hot canonicalization path
-            return max((abs(c) for c in self.terms.values()), default=0.0)
-        return max((abs(c) * unit ** sum(e) for e, c in self.terms.items()), default=0.0)
+        return float(self._sizes(unit).max(initial=0.0))
 
-    def copy(self) -> "Poly":
-        p = Poly(self.dim)
-        p.terms = dict(self.terms)
-        return p
+    @property
+    def terms(self) -> Dict[Exponent, complex]:
+        """{exponent: coeff} in key order, built on each read: for callers
+        outside the kernels, which all run on the arrays."""
+        return dict(zip(map(tuple, self._exponents().tolist()), self.coeffs.tolist()))
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
-        out = self.copy()
-        t = out.terms
-        for e, c in other.terms.items():
-            acc = t.get(e, 0j) + c
-            if acc == 0:
-                t.pop(e, None)
-            else:
-                t[e] = acc
-        return out
+        return _summed(self.dim, (self, other))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scaled(-1.0)
+        return _summed(self.dim, (self, Poly.from_packed(other.dim, other.keys, -other.coeffs)))
 
     def scaled(self, c: complex) -> "Poly":
         if c == 0:
             return Poly(self.dim)
-        p = Poly(self.dim)
-        p.terms = {e: v * c for e, v in self.terms.items()}
-        return p
+        return _nonzero(self.dim, self.keys, self.coeffs * c)
 
     def rescaled(self, unit: float) -> "Poly":
         """P(unit * w) as a polynomial in w: the coefficient of z^e times unit^|e|."""
-        powers = [unit ** k for k in range(self.degree() + 1)]
-        p = Poly(self.dim)
-        p.terms = {e: c * powers[sum(e)] for e, c in self.terms.items()}
-        return p
+        return _nonzero(self.dim, self.keys, self.coeffs * unit ** self._exponents().sum(axis=1))
 
     def mul(self, other: "Poly") -> "Poly":
-        """Product by the double loop; terms in order of first appearance."""
-        out: Dict[Exponent, complex] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                out[e] = out.get(e, 0j) + c1 * c2
-        r = Poly(self.dim)
-        r.terms = {e: c for e, c in out.items() if c != 0}
-        return r
-
-    def add_scaled(self, other: "Poly", c: complex) -> None:
-        """In-place self += c*other (used in hot recursions)."""
-        if c == 0:
-            return
-        t = self.terms
-        for e, v in other.terms.items():
-            acc = t.get(e, 0j) + c * v
-            if acc == 0:
-                t.pop(e, None)
-            else:
-                t[e] = acc
+        """Product: every pair of terms, self's in the outer loop, in one
+        merge; a one-term factor only shifts the other's keys, which stay
+        sorted.  ValueError when the degree would overflow a packed field."""
+        dim = self.dim
+        if self.is_zero() or other.is_zero():
+            return Poly(dim)
+        check_packed_degree(self.degree() + other.degree(), packed_bits(dim), dim)
+        if len(other.keys) == 1:
+            return _nonzero(dim, self.keys + other.keys[0], self.coeffs * other.coeffs[0])
+        if len(self.keys) == 1:
+            return _nonzero(dim, other.keys + self.keys[0], self.coeffs[0] * other.coeffs)
+        return Poly.from_packed(dim, *merge((self.keys[:, None] + other.keys).ravel(),
+                                            (self.coeffs[:, None] * other.coeffs).ravel()))
 
     def conj(self) -> "Poly":
-        p = Poly(self.dim)
-        p.terms = {e: c.conjugate() for e, c in self.terms.items()}
-        return p
+        return Poly.from_packed(self.dim, self.keys, self.coeffs.conj())
 
     def eval(self, z) -> complex:
+        """P(z): each monomial c z_0^e_0 z_1^e_1 ... multiplied in that order,
+        and the monomials added one after another in key order, as
+        `QGFunction.evaluate_grid` adds them at each grid point."""
         z = np.asarray(z, dtype=complex)
-        total = 0j
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * z[i] ** k
-            total += v
-        return complex(total)
+        monomials = self.coeffs
+        for zi, e in zip(z, self._exponents().T):
+            monomials = monomials * zi ** e
+        return complex(sum(monomials.tolist()))
 
     def affine_sub(self, M, shift=None) -> "Poly":
-        """Substitute z_i -> sum_j M[i, j] w_j + shift_i; result over w."""
+        """Substitute z_i -> sum_j M[i, j] w_j + shift_i; result over w.
+
+        Every term at once, a variable at a time: w takes the low fields and
+        z the high ones of one packing, and each term whose z_i has exponent
+        k trades that field for the k-th power of z_i's linear form, in one
+        merge per variable.
+        """
         M = np.asarray(M, dtype=complex)
         dim_out = M.shape[1]
         shift = np.zeros(M.shape[0], dtype=complex) if shift is None else np.asarray(shift, dtype=complex)
-        pow_cache: Dict[Tuple[int, int], Poly] = {}
-
-        def lin_pow(i: int, k: int) -> Poly:
-            key = (i, k)
-            got = pow_cache.get(key)
-            if got is not None:
-                return got
-            if k == 0:
-                r = Poly.const(dim_out, 1.0)
-            elif k == 1:
-                r = Poly.linear(M[i, :], shift[i])
-            else:
-                r = lin_pow(i, k - 1).mul(lin_pow(i, 1))
-            pow_cache[key] = r
-            return r
-
-        out = Poly(dim_out)
-        for e, c in self.terms.items():
-            fac = Poly.const(dim_out, c)
-            for i, k in enumerate(e):
+        bits = packed_bits(dim_out + self.dim)
+        check_packed_degree(self.degree(), bits, dim_out + self.dim)
+        keys, coeffs = pack(self._exponents(), bits) << bits * dim_out, self.coeffs
+        form_keys = np.array([0, *(1 << bits * j for j in range(dim_out))], dtype=np.int64)
+        for i in range(self.dim):
+            at = bits * (dim_out + i)
+            e = (keys >> at) & ((1 << bits) - 1)
+            rest, form = keys - (e << at), np.concatenate(([shift[i]], M[i]))
+            power_keys, power = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+            parts_k, parts_c = [], []
+            for k in range(int(e.max(initial=0)) + 1):
                 if k:
-                    fac = fac.mul(lin_pow(i, k))
-            out = out + fac
-        return out
+                    power_keys, power = merge((power_keys[:, None] + form_keys).ravel(),
+                                              (power[:, None] * form).ravel())
+                has = e == k
+                parts_k.append((rest[has, None] + power_keys).ravel())
+                parts_c.append((coeffs[has, None] * power).ravel())
+            keys, coeffs = merge(np.concatenate(parts_k), np.concatenate(parts_c))
+        return Poly.from_packed(dim_out, pack(unpack(keys, dim_out, bits), packed_bits(dim_out)), coeffs)
 
     def embed(self, dim_out: int, var_map) -> "Poly":
         """Relabel variable i -> var_map[i] in a larger variable set."""
-        out: Dict[Exponent, complex] = {}
-        for e, c in self.terms.items():
-            e2 = [0] * dim_out
-            for i, k in enumerate(e):
-                if k:
-                    e2[var_map[i]] += k
-            out[tuple(e2)] = out.get(tuple(e2), 0j) + c
-        return Poly(dim_out, out)
+        exps = self._exponents()
+        out = np.zeros((len(exps), dim_out), dtype=np.int64)
+        for i in range(self.dim):
+            out[:, var_map[i]] += exps[:, i]
+        bits = packed_bits(dim_out)
+        check_packed_degree(self.degree(), bits, dim_out)
+        return Poly.from_packed(dim_out, *merge(pack(out, bits), self.coeffs))
 
     def pruned(self, abs_tol: float, unit: float) -> "Poly":
         """Keep the terms with |c| * unit^|e| > abs_tol."""
-        p = Poly(self.dim)
-        if unit == 1.0:
-            # as in max_abs_coeff
-            p.terms = {e: c for e, c in self.terms.items() if abs(c) > abs_tol}
-        else:
-            p.terms = {e: c for e, c in self.terms.items() if abs(c) * unit ** sum(e) > abs_tol}
-        return p
-
-    @classmethod
-    def from_packed(cls, dim: int, bits: int, keys: np.ndarray, coeffs: np.ndarray) -> "Poly":
-        p = cls(dim)
-        p.terms = dict(zip(map(tuple, unpack(keys, dim, bits).tolist()), coeffs.tolist()))
-        return p
-
-    def to_packed(self, bits: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(int64 keys, complex coeffs) in term order, the inverse of from_packed;
-        ValueError when an exponent is negative or needs more than `bits` bits."""
-        try:
-            exps = np.array(list(self.terms), dtype=np.int64).reshape(len(self.terms), self.dim)
-            if exps.size and (exps.min() < 0 or int(exps.max()) >> bits):
-                raise OverflowError
-        except OverflowError:
-            raise ValueError(f"an exponent does not fit a {bits}-bit field") from None
-        return pack(exps, bits), np.array(list(self.terms.values()), dtype=complex)
+        keep = self._sizes(unit) > abs_tol
+        if keep.all():
+            return self
+        return Poly.from_packed(self.dim, self.keys[keep], self.coeffs[keep])
 
     def canonical_items(self):
         """Items sorted in graded-lex order (total degree, then exponents)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        exps = self._exponents()
+        order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+        return list(zip(map(tuple, exps[order].tolist()), self.coeffs[order].tolist()))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "Poly(0)"
         bits = [f"{c:.6g}*z^{e}" for e, c in itertools.islice(self.canonical_items(), 8)]
-        more = "" if len(self.terms) <= 8 else f" +{len(self.terms) - 8} terms"
+        more = "" if len(self.keys) <= 8 else f" +{len(self.keys) - 8} terms"
         return "Poly(" + " + ".join(bits) + more + ")"
+
+
+def _summed(dim: int, polys: Sequence[Poly]) -> Poly:
+    """The sum of `polys`: their sorted runs in one merge, which adds each
+    monomial's coefficients in list order."""
+    polys = [p for p in polys if len(p.keys)]
+    if len(polys) < 2:
+        return polys[0] if polys else Poly(dim)
+    return Poly.from_packed(dim, *merge(np.concatenate([p.keys for p in polys]),
+                                        np.concatenate([p.coeffs for p in polys]), kind="stable"))
+
+
+def _nonzero(dim: int, keys: np.ndarray, coeffs: np.ndarray) -> Poly:
+    """The Poly of sorted distinct keys, without the coefficients that are exactly 0."""
+    if coeffs.all():
+        return Poly.from_packed(dim, keys, coeffs)
+    keep = coeffs != 0
+    return Poly.from_packed(dim, keys[keep], coeffs[keep])
 
 
 def packed_bits(dim: int) -> int:
@@ -256,16 +253,22 @@ def check_packed_degree(degree: int, bits: int, dim: int) -> None:
                          f"exponents hold over {dim} variables")
 
 
+@functools.lru_cache(maxsize=None)
+def _shifts(dim: int, bits: int) -> np.ndarray:
+    """Where each of `dim` fields of `bits` bits starts (read-only)."""
+    shifts = np.arange(dim, dtype=np.int64) * bits
+    shifts.flags.writeable = False
+    return shifts
+
+
 def pack(exps: np.ndarray, bits: int) -> np.ndarray:
     """(n, dim) exponent rows -> n int64 keys."""
-    shifts = np.arange(exps.shape[1], dtype=np.int64) * bits
-    return (exps << shifts).sum(axis=1)
+    return np.add.reduce(exps << _shifts(exps.shape[1], bits), axis=1)
 
 
 def unpack(keys: np.ndarray, dim: int, bits: int) -> np.ndarray:
     """n int64 keys -> (n, dim) exponent rows."""
-    shifts = np.arange(dim, dtype=np.int64) * bits
-    return (keys[:, None] >> shifts) & ((1 << bits) - 1)
+    return (keys[:, None] >> _shifts(dim, bits)) & ((1 << bits) - 1)
 
 
 def packed_diff(keys: np.ndarray, coeffs: np.ndarray, index: int, bits: int,

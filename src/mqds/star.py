@@ -33,8 +33,8 @@ import numpy as np
 
 from .algebra import QGFunction, QGTerm, QuadExponent, VarSpace
 from .gausspoly import composition_context
-from .poly import (Poly, check_packed_degree, merge, multi_factorial, multi_indices, packed_bits,
-                   packed_diff)
+from .poly import (Poly, _summed, check_packed_degree, merge, multi_factorial, multi_indices,
+                   packed_bits, packed_diff, unpack)
 
 
 class EvolutionSingular(Exception):
@@ -59,9 +59,11 @@ ORACLE_MAX_GRID_POINTS = 2 ** 24
 # exact star product
 # ---------------------------------------------------------------------------
 
-def _series_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm, bound: int) -> List[QGTerm]:
-    """Terminating bidifferential series for one term pair: one term over the
-    exponent q1 + q2, or none when the series vanishes.
+def _series_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm) -> List[QGTerm]:
+    """Terminating bidifferential series for one term pair, one of them
+    without a Gaussian: one term over the exponent q1 + q2, or none when the
+    series vanishes.  It ends at the lower degree of the factors without a
+    Gaussian.
 
     Each factor's derivatives are packed and memoized by multi-index; the
     products of all (alpha, beta) go through one merge.  A factor without a
@@ -75,6 +77,7 @@ def _series_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm, bound: int) -> Li
         return []
     bits = packed_bits(dim)
     g1, g2 = not t1.expo.is_zero(), not t2.expo.is_zero()
+    bound = min(d for d, g in ((d1, g1), (d2, g2)) if not g)
     # D_j raises a Gaussian factor's degree by one and lowers a polynomial's
     check_packed_degree(max(d1 + g1 * bound, d2 + g2 * bound, d1 + d2 + 2 * g1 * g2 * bound),
                         bits, dim)
@@ -86,7 +89,7 @@ def _series_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm, bound: int) -> Li
     for term, swap in ((t1, False), (t2, True)):
         if not term.expo.is_zero():
             continue
-        degs = [max(e[j] for e in term.poly.terms) for j in range(dim)]
+        degs = unpack(term.poly.keys, dim, bits).max(axis=0).tolist()
         if swap:
             degs = degs[n:] + degs[:n]
         caps = [min(c, d) for c, d in zip(caps, degs)]
@@ -110,7 +113,7 @@ def _series_term_pair(space: VarSpace, t1: QGTerm, t2: QGTerm, bound: int) -> Li
     if not len(keys):
         return []
     e1, e2 = t1.expo, t2.expo
-    return [QGTerm(Poly.from_packed(dim, bits, keys, coeffs),
+    return [QGTerm(Poly.from_packed(dim, keys, coeffs),
                    QuadExponent(e1.A + e2.A, e1.b + e2.b, e1.c + e2.c))]
 
 
@@ -126,7 +129,7 @@ def _derivatives(term: QGTerm, bits: int, swap: bool):
         if got is None:
             j = next((j for j, k in enumerate(m) if k), None)
             if j is None:
-                got = term.poly.to_packed(bits)
+                got = term.poly.keys, term.poly.coeffs
             else:
                 keys, coeffs = get(m[:j] + (m[j] - 1,) + m[j + 1:])
                 if len(keys):
@@ -170,10 +173,8 @@ def star(f: QGFunction, g: QGFunction) -> QGFunction:
     out: List[QGTerm] = []
     for t1 in f.terms:
         for t2 in g.terms:
-            # the series terminates at the lower degree of the polynomial factors
-            degrees = [t.poly.degree() for t in (t1, t2) if t.expo.is_zero()]
-            if degrees:
-                out.extend(_series_term_pair(space, t1, t2, min(degrees)))
+            if t1.expo.is_zero() or t2.expo.is_zero():
+                out.extend(_series_term_pair(space, t1, t2))
             else:
                 out.append(_compose_term_pair(space, t1, t2))
     return QGFunction(space, out)
@@ -222,7 +223,7 @@ def _flow_spectrum(model, space: VarSpace) -> Tuple[np.ndarray, Callable[[np.nda
 
     d = space.dim
     M = np.zeros((d, d))
-    for e, coef in hamiltonian(model, space).polynomial_part().terms.items():
+    for e, coef in hamiltonian(model, space).polynomial_part().canonical_items():
         i, j = [i for i, k in enumerate(e) for _ in range(k)]
         M[i, j] += coef.real
         M[j, i] += coef.real
@@ -277,10 +278,7 @@ def star_exp_closed_taylor(model, order: int, space: VarSpace) -> List[QGFunctio
         L.append(Lk)
     e = [Poly.const(d, 1.0)]
     for k in range(1, order + 1):
-        ek = Poly(d)
-        for j in range(1, k + 1):
-            ek.add_scaled(L[j].mul(e[k - j]), j / k)
-        e.append(ek)
+        e.append(_summed(d, [L[j].mul(e[k - j]).scaled(j / k) for j in range(1, k + 1)]))
     return [QGFunction.from_poly(space, p) for p in e]
 
 

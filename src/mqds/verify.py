@@ -493,12 +493,8 @@ def check_complex_scaling(hbar: float = 1.0, gamma: float = 1.0, seed: int = 0,
             # summands are ~hbar^-j larger and cancel to roundoff noise
             if j:
                 lhs = moyal_bracket(XP, lhs).scaled(1.0 / (j * hbar))
-            rhs_terms = Poly(2)
-            for e, c in poly.terms.items():
-                u, v = e
-                rhs_terms.add_scaled(Poly(2, {e: 1.0}),
-                                     c * (1j * (v - u)) ** j / math.factorial(j))
-            rhs = QGFunction.from_poly(sp, rhs_terms)
+            rhs = QGFunction.from_poly(sp, Poly(2, {(u, v): c * (1j * (v - u)) ** j / math.factorial(j)
+                                                    for (u, v), c in poly.canonical_items()}))
             scale = max(rhs.coeff_norm(), f.coeff_norm())
             worst = max(worst, (lhs - rhs).coeff_norm() / scale)
         rec.add(worst, kind="generator_series", probe=label, order=order)

@@ -407,6 +407,20 @@ def test_oracle_malformed_json_function_is_a_usage_error(content, tmp_path):
     assert line.startswith("mqds:ERROR: malformed function file") and str(path) in line
 
 
+@pytest.mark.parametrize("exponent", ["-1,0", "2147483648,0"])
+def test_oracle_exponent_outside_the_packed_field_is_a_usage_error(exponent, tmp_path):
+    # a negative exponent, and one past the 31-bit field of each of x and p
+    f = QGFunction.from_exponent(VarSpace(1, 1.0), 2.0 * np.eye(2), coeff=1.0 / math.pi).to_json_dict()
+    f["terms"][0]["poly"] = {exponent: [1.0, 0.0]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f))
+    r = run_cli("oracle", "--f", f"@{path}", "--g", "W0", "--points", "0.1,0.2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["mqds:ERROR: an exponent is not an integer from 0 to 2147483647, "
+                                     "the packed field of each of 2 variables"]
+
+
 def test_io_error_exit_code():
     r = run_cli("spectrum", "--model", "oscillator", "--max-n", "1",
                 "--out", "/nonexistent_dir/out.csv")

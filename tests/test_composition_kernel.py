@@ -28,7 +28,7 @@ from mqds import gausspoly
 from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, gaussian_test
 from mqds.gausspoly import CompositionContext, MomentMemo, _branch_sqrt_det, moments_poly, sym
 from mqds.models import dho_f, oscillator_wigner
-from mqds.poly import Poly, merge, multi_indices, packed_bits, unpack
+from mqds.poly import Poly, merge, multi_indices, pack, packed_bits, unpack
 from mqds.star import star
 
 
@@ -102,7 +102,8 @@ def reference_compose(ctx, P1, P2, mu_memo, mv_memo):
         out_coeffs.append(c)
     if not out_keys:
         return Poly(d), needed
-    return Poly.from_packed(d, bits, *merge(np.concatenate(out_keys), np.concatenate(out_coeffs))), needed
+    keys, coeffs = merge(np.concatenate(out_keys), np.concatenate(out_coeffs))
+    return Poly.from_packed(d, pack(unpack(keys, d, bits), packed_bits(d)), coeffs), needed
 
 
 def memo_tables(memo, dim):

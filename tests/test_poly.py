@@ -93,6 +93,57 @@ def test_product_rule(a, b):
     assert (lhs - rhs).max_abs_coeff() <= 1e-12 * scale
 
 
+# -- the dict loops the packed methods replaced, as references ------------------
+
+def dict_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0j) + c1 * c2
+    return out
+
+
+def dict_affine_sub(p, M, shift):
+    """Each term times the powers of its variables' linear forms, expanded one factor at a time."""
+    out = {}
+    for e, c in p.terms.items():
+        acc = {(0,) * M.shape[1]: c}
+        for i, k in enumerate(e):
+            form = {tuple(np.eye(M.shape[1], dtype=int)[j]): M[i, j] for j in range(M.shape[1])}
+            form[(0,) * M.shape[1]] = shift[i]
+            for _ in range(k):
+                acc = dict_mul(Poly(M.shape[1], acc), Poly(M.shape[1], form))
+        for e2, v in acc.items():
+            out[e2] = out.get(e2, 0j) + v
+    return out
+
+
+def assert_close(got, want, scale):
+    for e in got.keys() | want.keys():
+        assert abs(got.get(e, 0j) - want.get(e, 0j)) <= 1e-13 * scale, e
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys())
+def test_mul_matches_the_dict_loop(a, b):
+    scale = max(sum(map(abs, a.terms.values())) * sum(map(abs, b.terms.values())), 1.0)
+    assert_close(a.mul(b).terms, dict_mul(a, b), scale)
+
+
+@pytest.mark.parametrize("dim_out", [1, 2, 3])
+def test_affine_sub_matches_the_dict_loop(dim_out):
+    rng = np.random.default_rng(11 + dim_out)
+    for _ in range(5):
+        p = Poly(2, {tuple(int(k) for k in rng.integers(0, 4, size=2)): complex(*rng.normal(size=2))
+                     for _ in range(6)})
+        M = rng.normal(size=(2, dim_out)) + 1j * rng.normal(size=(2, dim_out))
+        shift = rng.normal(size=2)
+        scale = sum(map(abs, dict_affine_sub(Poly(2, {e: abs(c) for e, c in p.terms.items()}),
+                                             np.abs(M), np.abs(shift)).values()))
+        assert_close(p.affine_sub(M, shift).terms, dict_affine_sub(p, M, shift), scale)
+
+
 # -- Poly.mul edge cases ---------------------------------------------------------
 
 def test_mul_exact_cancellation():
@@ -105,21 +156,26 @@ def test_mul_exact_cancellation():
 
 @pytest.mark.parametrize("dim, big", [(1, 1 << 62), (2, 1 << 30), (8, 100)])
 def test_packing_overflow_takes_the_loop(dim, big):
+    """A product past the packed field raises."""
     # each exponent fits its packed field, but the product's does not
     low = {(k,) + (1,) * (dim - 1): complex(k, 1) for k in range(20)}
     p = Poly(dim, {(big,) + (0,) * (dim - 1): 1.0, **low})
     q = Poly(dim, {(big,) + (1,) * (dim - 1): 3.0, **low})
     assert 2 * big >= 1 << packed_bits(dim)
-    want = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            want[e] = want.get(e, 0j) + c1 * c2
-    prod = p.mul(q)
-    assert prod.terms[(2 * big,) + (1,) * (dim - 1)] == 3.0
-    assert prod.terms == {e: c for e, c in want.items() if c != 0}
+    with pytest.raises(ValueError, match="packed"):
+        p.mul(q)
+    with pytest.raises(ValueError, match="packed"):
+        Poly(dim, {(2 * big,) + (0,) * (dim - 1): 1.0})
 
 
 def test_negative_exponents_take_the_loop():
-    p = Poly(2, {(-1, 0): 1.0, (1, 1): 2.0})
-    assert p.mul(p).terms == {(-2, 0): 1.0, (0, 1): 4.0, (2, 2): 4.0}
+    """Laurent exponents are outside the class: the constructor refuses them."""
+    with pytest.raises(ValueError, match="packed field"):
+        Poly(2, {(-1, 0): 1.0, (1, 1): 2.0})
+
+
+@pytest.mark.parametrize("expo", [(0, -2), (1.5, 0), (1 << 31, 0), (1 << 70, 0), ("1", 0)])
+def test_exponents_outside_the_fields_raise(expo):
+    # negative, fractional, past the 31-bit field of 2 variables, or not a number
+    with pytest.raises(ValueError, match="packed field"):
+        Poly(2, {expo: 1.0, (1, 1): 2.0})

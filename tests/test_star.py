@@ -18,7 +18,7 @@ from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, gaussian_te
 from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, MomentMemo,
                             integrate_partial, integrate_poly_exp, moments_poly, moments_scalar)
 from mqds.models import ModelId, dho_f, dho_g, hamiltonian, oscillator_wigner, toy_resonant
-from mqds.poly import Poly, multi_factorial, multi_indices
+from mqds.poly import Poly, multi_factorial, multi_indices, unpack
 from mqds.star import (EvolutionSingular, OracleNeedsDamping, OracleNotConverged, _dampened,
                        _series_term_pair, _twisted_kernel, _twisted_quadrature,
                        classical_flow_matrix, damped_pair, evolve, gauss_legendre, moyal_bracket,
@@ -94,7 +94,8 @@ def test_packed_memos_match_moments_poly(space2):
             w = rng.normal(size=lin.shape[1]) + 1j * rng.normal(size=lin.shape[1])
             want = moments_scalar(Sigma, lin @ w + shift, needed)
             for alpha in needed:
-                got = Poly.from_packed(lin.shape[1], ctx.bits, *packed[alpha]).eval(w)
+                keys, coeffs = packed[alpha]
+                got = coeffs @ np.prod(w ** unpack(keys, lin.shape[1], ctx.bits), axis=1)
                 assert abs(got - want[alpha]) <= 1e-12 * max(abs(want[alpha]), 1.0), alpha
 
 
@@ -246,12 +247,11 @@ def test_series_gives_one_term_per_term_pair(space, space2):
     for sp in (space, space2):
         (tp,), (tg,) = random_polynomial(sp, rng).terms, random_gaussian(sp, rng).terms
         for t1, t2 in ((tp, tg), (tg, tp), (tp, tp)):
-            bound = min(t.poly.degree() for t in (t1, t2) if t.expo.is_zero())
-            (out,) = _series_term_pair(sp, t1, t2, bound)
+            (out,) = _series_term_pair(sp, t1, t2)
             assert out.expo.close_to(t1.mul(t2).expo)
     # a * W0 = 0 cancels exactly, and gives no term at all
     (ta,), (tw,) = ladder_a(space).terms, w0(space).terms
-    assert _series_term_pair(space, ta, tw, 1) == []
+    assert _series_term_pair(space, ta, tw) == []
 
 
 def test_series_beyond_packing_width_raises():
@@ -723,3 +723,60 @@ def test_oracle_two_dof_gaussians(space2):
     closed = star(f, g).evaluate(z)
     quad = quadrature_star_oracle(f, g, z)
     assert abs(closed - quad) <= 1e-6 * abs(closed)
+
+
+def two_term_gaussian(space, rng):
+    """A random function of two poly x Gaussian terms, each poly of up to three monomials."""
+    d = space.dim
+    terms = []
+    for _ in range(2):
+        R, S = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+        A = R.T @ R + 0.4 * np.eye(d) + 0.35j * (S + S.T)
+        b = 0.5 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+        poly = Poly(d, {tuple(int(k) for k in rng.integers(0, 3, size=d)):
+                        complex(rng.normal(), rng.normal()) for _ in range(3)})
+        terms.append(QGTerm(poly, QuadExponent(A, b)))
+    return QGFunction(space, terms)
+
+
+# coeff_norm and the values at linspace(-0.6, 0.7, d) and linspace(0.3, -0.2, d)
+# of each product, from the dict-of-tuples Poly that the packed one replaced
+DICT_POLY_RESULTS = {
+    "W12*W0": (9.7912166638018e-13, [2.0565029319759672e-15 + 6.544703819103815e-15j,
+                                     -3.9142146947571895e-15 + 5.085443414791553e-16j]),
+    "H*F66": (435827.7889801795, [17.7754979912421 - 13.105165418894444j,
+                                  -1.0699925702188813 - 0.5538792692581842j]),
+    "F66*H": (435827.78898017976, [17.775497991242098 - 13.105165418894444j,
+                                   -1.0699925702188813 - 0.5538792692581842j]),
+    "gauss2": (54.940557566497304, [0.0264502002413737 + 0.022010024118129138j,
+                                    -0.030416883181695383 - 0.0017636735414325363j]),
+    "F33": (230.21298714468486, [-0.36708771625743675 + 0.2921376594448928j,
+                                 0.08391630608310274 - 0.04975777831601674j]),
+}
+
+
+def test_products_never_build_the_term_dict(monkeypatch):
+    # with Poly.terms refused, the series, the composition and the ladder
+    # builds still give the dict-backed results, to 1e-14 of the operands' size
+    def refused(self):
+        raise AssertionError("a hot path read Poly.terms")
+
+    monkeypatch.setattr(Poly, "terms", property(refused))
+    s1, s2 = VarSpace(1, 1.0), VarSpace(2, 1.0)
+    rng = np.random.default_rng(41)
+    f, g = two_term_gaussian(s2, rng), two_term_gaussian(s2, rng)
+    W12, W0 = oscillator_wigner(12, s1), oscillator_wigner(0, s1)
+    H, F66 = hamiltonian(ModelId.dho(), s2), dho_f(6, 6, "+", s2)
+    F33 = dho_f(3, 3, "+", s2)
+    got = {"W12*W0": (star(W12, W0), W12.coeff_norm() * W0.coeff_norm()),
+           "H*F66": (star(H, F66), H.coeff_norm() * F66.coeff_norm()),
+           "F66*H": (star(F66, H), H.coeff_norm() * F66.coeff_norm()),
+           "gauss2": (star(f, g), f.coeff_norm() * g.coeff_norm()),
+           "F33": (F33, F33.coeff_norm())}
+    for name, (P, size) in got.items():
+        norm, values = DICT_POLY_RESULTS[name]
+        scale = 1e-14 * max(size, norm)
+        assert abs(P.coeff_norm() - norm) <= scale, name
+        points = [np.linspace(-0.6, 0.7, P.space.dim), np.linspace(0.3, -0.2, P.space.dim)]
+        for z, want in zip(points, values):
+            assert abs(P.evaluate(z) - want) <= scale, name
