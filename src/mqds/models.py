@@ -6,22 +6,19 @@ Three models:
 * damped_toy:           H = -g x p,                N = 1   (lift of xdot = -g x)
 * damped_ho:            H = w(p1 x2 - p2 x1) - g(p1 x1 + p2 x2),  N = 2
 
-Each model carries ladder variables, a ground-state exponential killed by
-the appropriate one-sided star multiplications, and excited families built
-by star-multiplying ladder generators onto the ground state.  Ladder
-exponent patterns are chosen so the two-sided eigen-equations
-
-    H * F = F * H = E F
-
-hold with the spectra
+Every family member is a Gaussian e^{-(eta_1 + eta_2 + ...)/2} times a
+prefactor times L_n(eta_k) for each mode k, eta_k a quadratic form.  The
+oscillator and the toy have one mode.  The damped oscillator is Bateman's
+dual system: in u = (x1 - i x2)/sqrt(2), v = (p1 + i p2)/sqrt(2) it splits
+into two toy modes with complex rates, H = -(g - iw) uv - (g + iw) conj(uv).
+The two-sided eigen-equations H * F = F * H = E F hold with the spectra
 
     oscillator:  E_n    = hbar w (n + 1/2)
     damped toy:  E_n    = +/- i hbar g (n + 1/2)
     damped ho F: E_nm   = hbar w (m - n) - i hbar g (n + m + 1)
     damped ho G: mu_nm  = hbar w (n + m + 1) - i hbar g (n - m)
 
-(the eigen-residual is the arbiter for the generator bookkeeping; see the
-verification module, which checks every member).
+The ladder builds of W and the toy family check the closed forms.
 """
 
 from __future__ import annotations
@@ -240,12 +237,20 @@ def laguerre_coeffs(n: int) -> List[float]:
     return cur
 
 
-def _radial_poly(space: VarSpace, coeffs: Sequence[float], unit: Poly) -> Poly:
-    """sum_k coeffs[k] * unit^k."""
-    powers = [Poly.const(space.dim, 1.0)]
-    for _ in coeffs[1:]:
-        powers.append(powers[-1].mul(unit))
-    return _summed(space.dim, [p.scaled(c) for p, c in zip(powers, coeffs)])
+def _laguerre_member(space: VarSpace, A: np.ndarray, norm: float,
+                     modes: Sequence[Tuple[int, Poly]]) -> QGFunction:
+    """(-1)^(n_1 + n_2 + ...) norm e^{-z.A z/2} L_{n_1}(eta_1) L_{n_2}(eta_2) ...
+    for modes [(n_k, eta_k)], where z.A z = eta_1 + eta_2 + ...: in each mode a
+    W or toy member of the mode's quadratic form eta_k."""
+    poly = None
+    for n, eta in modes:
+        powers = [Poly.const(space.dim, 1.0)]
+        for _ in range(n):
+            powers.append(powers[-1].mul(eta))
+        factor = _summed(space.dim, [p.scaled(c) for p, c in zip(powers, laguerre_coeffs(n))])
+        poly = factor if poly is None else poly.mul(factor)
+    sign = (-1.0) ** sum(n for n, _ in modes)
+    return QGFunction(space, [QGTerm(poly.scaled(sign * norm), QuadExponent(A, np.zeros(space.dim)))])
 
 
 def oscillator_wigner(n: int, space: VarSpace) -> QGFunction:
@@ -256,9 +261,7 @@ def oscillator_wigner(n: int, space: VarSpace) -> QGFunction:
         raise ValueError("oscillator family lives on N=1")
     hbar = space.hbar
     xi = Poly(2, {(2, 0): 2.0 / hbar, (0, 2): 2.0 / hbar})
-    poly = _radial_poly(space, laguerre_coeffs(n), xi).scaled((-1.0) ** n / (math.pi * hbar))
-    A = (2.0 / hbar) * np.eye(2)
-    return QGFunction(space, [QGTerm(poly, QuadExponent(A, np.zeros(2)))])
+    return _laguerre_member(space, (2.0 / hbar) * np.eye(2), 1.0 / (math.pi * hbar), [(n, xi)])
 
 
 def oscillator_wigner_ladder(n: int, space: VarSpace) -> QGFunction:
@@ -288,9 +291,8 @@ def toy_resonant(n: int, sign: str, space: VarSpace) -> QGFunction:
     s = _sign(sign)
     hbar = space.hbar
     eta = Poly(2, {(1, 1): s * 4j / hbar})
-    poly = _radial_poly(space, laguerre_coeffs(n), eta).scaled((-1.0) ** n / (math.pi * hbar))
     A = np.array([[0.0, s * 2j / hbar], [s * 2j / hbar, 0.0]])
-    return QGFunction(space, [QGTerm(poly, QuadExponent(A, np.zeros(2)))])
+    return _laguerre_member(space, A, 1.0 / (math.pi * hbar), [(n, eta)])
 
 
 def toy_resonant_ladder(n: int, sign: str, space: VarSpace) -> QGFunction:
@@ -311,14 +313,16 @@ def toy_resonant_ladder(n: int, sign: str, space: VarSpace) -> QGFunction:
 # damped harmonic oscillator families
 # ---------------------------------------------------------------------------
 
+# 2uv = (x1 p1 + x2 p2) + i(x1 p2 - x2 p1) for the modes u, v of the module
+# docstring, with exact coefficients
+_TWO_UV = Poly(4, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (1, 0, 0, 1): 1j, (0, 1, 1, 0): -1j})
+
+
 @_built_once_per_run
 def dho_f(n: int, m: int, sign: str, space: VarSpace) -> QGFunction:
-    """Integrable damped-oscillator family, normalized so the integral is 1.
-
-    Ground state F^+_00 = (pi hbar)^{-2} e^{(2i/hbar)(x1 p1 + x2 p2)}; excited
-    members (a2*)^m (a2)^n * F^+_00 * (a1)^m (a1*)^n; the minus family is the
-    complex conjugate.  The prefactor makes both the normalization integral
-    and the star idempotency constant come out right.
+    """Integrable damped-oscillator family of unit integral, in closed form:
+    F^+_nm = (-1)^(n+m) (pi hbar)^-2 e^{(2i/hbar) x.p} L_n(-4i uv/hbar) L_m(-4i conj(uv)/hbar),
+    the toy F^- member in each mode.  The minus family is the complex conjugate.
     """
     if not (0 <= n <= 6 and 0 <= m <= 6):
         raise ValueError("supported index range is 0 <= n, m <= 6")
@@ -330,22 +334,16 @@ def dho_f(n: int, m: int, sign: str, space: VarSpace) -> QGFunction:
     A = np.zeros((4, 4), dtype=complex)
     A[0, 2] = A[2, 0] = -2j / hbar
     A[1, 3] = A[3, 1] = -2j / hbar
-    F00 = QGFunction.from_exponent(space, A, coeff=1.0 / (math.pi * hbar) ** 2)
-    if n == 0 and m == 0:
-        return F00
-    lad = ladder_set(ModelId.dho(), space)
-    out = _ladder(F00, [(lad["a2"], n), (lad["a2*"], m)], [(lad["a1"], m), (lad["a1*"], n)])
-    total = out.gaussian_integral()
-    return out.scaled(1.0 / total)
+    k = 2j / hbar
+    return _laguerre_member(space, A, 1.0 / (math.pi * hbar) ** 2,
+                            [(n, _TWO_UV.scaled(-k)), (m, _TWO_UV.conj().scaled(-k))])
 
 
 @_built_once_per_run
 def dho_g(n: int, m: int, space: VarSpace) -> QGFunction:
-    """Non-integrable companion family built on G_00 = e^{(2/hbar)(x1 p2 - x2 p1)}.
-
-    Members (a1*)^m (a2*)^n * G_00 * (a1)^n (a2)^m / (n! m!); the generator
-    exponents are fixed by requiring the two-sided eigenvalue mu_nm.  The
-    n < m members are built as conjugates of their mirror partners so that
+    """Non-integrable companion family, G_00 = e^{(2/hbar)(x1 p2 - x2 p1)} and
+    G_nm = (-1)^(n+m) G_00 L_m(4i uv/hbar) L_n(-4i conj(uv)/hbar) for n >= m.
+    The n < m members are the conjugates of their mirror partners, so that
     conj(G_nm) = G_mn holds exactly, not merely to rounding.
     """
     if not (0 <= n <= 6 and 0 <= m <= 6):
@@ -358,12 +356,8 @@ def dho_g(n: int, m: int, space: VarSpace) -> QGFunction:
     A = np.zeros((4, 4))
     A[0, 3] = A[3, 0] = -2.0 / hbar
     A[1, 2] = A[2, 1] = 2.0 / hbar
-    G00 = QGFunction.from_exponent(space, A)
-    if n == 0 and m == 0:
-        return G00
-    lad = ladder_set(ModelId.dho(), space)
-    out = _ladder(G00, [(lad["a2*"], n), (lad["a1*"], m)], [(lad["a1"], n), (lad["a2"], m)])
-    return out.scaled(1.0 / (math.factorial(n) * math.factorial(m)))
+    k = 2j / hbar
+    return _laguerre_member(space, A, 1.0, [(m, _TWO_UV.scaled(k)), (n, _TWO_UV.conj().scaled(-k))])
 
 
 # ---------------------------------------------------------------------------

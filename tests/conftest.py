@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace
+from mqds.models import ModelId, dho_f, dho_g, ladder_set
 from mqds.poly import Poly
+from mqds.star import star
 
 
 @pytest.fixture
@@ -52,3 +54,29 @@ def random_polynomial(space, rng, deg=3):
     if p.is_zero():
         p = Poly.const(d, 1.0)
     return QGFunction.from_poly(space, p)
+
+
+def dho_ladder(family, n, m, space):
+    """dho F^+_nm or G_nm by the ladder chains the closed forms replaced:
+    F^+_nm = (a2)^n (a2*)^m * F_00 * (a1)^m (a1*)^n over its own integral,
+    G_nm = (a2*)^n (a1*)^m * G_00 * (a1)^n (a2)^m / (n! m!) for n >= m, and
+    the conjugate of G_mn for n < m; generators applied in that order, the
+    left ones from the inside out."""
+    if family == "G" and n < m:
+        return dho_ladder("G", m, n, space).conjugate()
+    lad = ladder_set(ModelId.dho(), space)
+    if family == "F":
+        out = dho_f(0, 0, "+", space)
+        left, right = [("a2", n), ("a2*", m)], [("a1", m), ("a1*", n)]
+    else:
+        out = dho_g(0, 0, space)
+        left, right = [("a2*", n), ("a1*", m)], [("a1", n), ("a2", m)]
+    for name, count in left:
+        for _ in range(count):
+            out = star(lad[name], out)
+    for name, count in right:
+        for _ in range(count):
+            out = star(out, lad[name])
+    if family == "G":
+        return out.scaled(1.0 / (math.factorial(n) * math.factorial(m)))
+    return out if n == m == 0 else out.scaled(1.0 / out.gaussian_integral())

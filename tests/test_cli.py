@@ -217,8 +217,10 @@ def test_verify_selector_subset():
 
 
 def test_verify_tolerance_override_fails():
-    r = run_cli("verify", "--suite", "koopman_zero_mode",
-                "--tolerance", "koopman_zero_mode=1e-30")
+    # the partial sums of identity_resolution stop short of their limit, so
+    # their residuals are not 0, where koopman_zero_mode reads exactly 0 at the defaults
+    r = run_cli("verify", "--suite", "identity_resolution",
+                "--tolerance", "identity_resolution=1e-30")
     assert r.returncode == 1
     data = json.loads(r.stdout)
     assert data["summary"]["failed"] > 0
@@ -433,9 +435,11 @@ def test_usage_error_without_subcommand():
 
 
 def _verify_passes(tmp_path, override):
+    # conjugation_symmetry holds entries that read exactly 0 (minus_is_conj)
+    # beside roundoff (conj_antihomomorphism, about 1e-15)
     out = tmp_path / f"report-{override}.json"
-    main(["verify", "--suite", "koopman_zero_mode", "--tolerance", f"koopman_zero_mode={override}",
-          "--out", str(out)])
+    main(["verify", "--suite", "conjugation_symmetry", "--tolerance",
+          f"conjugation_symmetry={override}", "--out", str(out)])
     return [(c["params"], c["passed"]) for c in json.loads(out.read_text())["checks"]]
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import f0_plus, w0
+from conftest import dho_ladder, f0_plus, w0
 from mqds.algebra import QGFunction, VarSpace, poisson_bracket
 from mqds.models import (ModelId, UnsupportedPair, WaveFunction, conjugation_by_V, dho_f,
                          dho_g, eigenvalue, hamiltonian, hyperbolic_frame_matrix,
@@ -264,6 +264,26 @@ def test_dho_f_minus_family(space2):
     E = eigenvalue(model, space2, (1, 2), "-", "F")
     assert E == np.conj(eigenvalue(model, space2, (1, 2), "+", "F"))
     assert eig_residual(model, F, E, space2) <= 1e-10
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+def test_dho_closed_forms_match_the_ladder(hbar):
+    # the ladder F carries its normalizing division's rounding, up to 3.4e-11
+    sp = VarSpace(2, hbar)
+    for n in range(7):
+        for m in range(7):
+            F, G = dho_f(n, m, "+", sp), dho_g(n, m, sp)
+            assert (dho_ladder("F", n, m, sp) - F).coeff_norm() <= 1e-10 * F.coeff_norm(), (n, m)
+            assert (dho_ladder("G", n, m, sp) - G).coeff_norm() <= 1e-13 * G.coeff_norm(), (n, m)
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0])
+def test_dho_f66_is_idempotent(hbar):
+    # (2 pi hbar)^2 F66 * F66 = F66; the ladder build met it only to 3.4e-11
+    sp = VarSpace(2, hbar)
+    F = dho_f(6, 6, "+", sp)
+    got = star(F, F).scaled((2 * math.pi * hbar) ** 2)
+    assert (got - F).coeff_norm() <= 1e-13 * F.coeff_norm()
 
 
 def test_g00_value_and_conditions(space2):

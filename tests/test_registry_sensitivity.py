@@ -1,0 +1,68 @@
+"""The registry's sensitivity: each mutation of a kernel must fail `run_all`.
+
+Each mutation is a monkeypatch of one kernel, with no source edit, and
+`run_all` runs the whole registry at hbar in {1e-3, 1, 100}.  The test
+asserts which checks, and which families within them, catch it; the
+unmutated registry is the control and fails nothing.
+
+Asserted:
+  * eta_sign:  a wrong sign in the first mode's eta of the dho builders
+    (L_n(-eta) in place of L_n(eta) for F and G).
+  * dho_sign:  the dho builders drop their (-1)^(n+m).
+
+Open (no registry entry catches them yet):
+  * the dropped (-1)^(n+m) of G alone: G is not integrable, and its
+    eigen-equations, stationarity and conjugation pairing are all linear,
+    so nothing fixes its overall sign.  The dho `ladder_closed` entries of
+    ROADMAP item 9 would catch it.
+"""
+
+import pytest
+
+from mqds import models
+from mqds.verify import run_all
+
+HBARS = (1e-3, 1.0, 100.0)
+
+
+def eta_sign(build):
+    def mutated(space, A, norm, modes):
+        if space.n_dof == 2:
+            (n, eta), *rest = modes
+            modes = [(n, eta.scaled(-1.0)), *rest]
+        return build(space, A, norm, modes)
+    return mutated
+
+
+def dho_sign(build):
+    def mutated(space, A, norm, modes):
+        out = build(space, A, norm, modes)
+        return out.scaled((-1.0) ** sum(n for n, _ in modes)) if space.n_dof == 2 else out
+    return mutated
+
+
+# mutation -> (wrapper of `_laguerre_member`, the (check, family) pairs that fail)
+MUTATIONS = {
+    "eta_sign": (eta_sign, {("eigen_residual", "F_dho"), ("eigen_residual", "G_dho"),
+                            ("star_orthogonality", "F_dho+"), ("marginal_delta", "F_dho"),
+                            ("normalization", "F_dho")}),
+    "dho_sign": (dho_sign, {("star_orthogonality", "F_dho+"), ("marginal_delta", "F_dho"),
+                            ("normalization", "F_dho")}),
+}
+
+
+def failures(hbar):
+    return {(e.name, e.params.get("family")) for e in run_all(hbar=hbar).entries if not e.passed}
+
+
+@pytest.mark.parametrize("hbar", HBARS)
+def test_unmutated_registry_passes(hbar):
+    assert failures(hbar) == set()
+
+
+@pytest.mark.parametrize("hbar", HBARS)
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutation_is_caught(name, hbar, monkeypatch):
+    mutate, caught_by = MUTATIONS[name]
+    monkeypatch.setattr(models, "_laguerre_member", mutate(models._laguerre_member))
+    assert failures(hbar) == caught_by

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_gaussian, random_polynomial, w0
+from conftest import dho_ladder, random_gaussian, random_polynomial, w0
 from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, gaussian_test, poisson_bracket
 from mqds.gausspoly import (CompositionContext, GaussianCompositionSingular, MomentMemo,
                             integrate_partial, integrate_poly_exp, moments_poly, moments_scalar)
@@ -766,8 +766,9 @@ def test_products_never_build_the_term_dict(monkeypatch):
     rng = np.random.default_rng(41)
     f, g = two_term_gaussian(s2, rng), two_term_gaussian(s2, rng)
     W12, W0 = oscillator_wigner(12, s1), oscillator_wigner(0, s1)
-    H, F66 = hamiltonian(ModelId.dho(), s2), dho_f(6, 6, "+", s2)
-    F33 = dho_f(3, 3, "+", s2)
+    # F33 and F66 by the ladder chains that DICT_POLY_RESULTS were taken from
+    H, F66 = hamiltonian(ModelId.dho(), s2), dho_ladder("F", 6, 6, s2)
+    F33 = dho_ladder("F", 3, 3, s2)
     got = {"W12*W0": (star(W12, W0), W12.coeff_norm() * W0.coeff_norm()),
            "H*F66": (star(H, F66), H.coeff_norm() * F66.coeff_norm()),
            "F66*H": (star(F66, H), H.coeff_norm() * F66.coeff_norm()),

@@ -151,9 +151,9 @@ def test_run_memo_reuses_members_and_chain_states():
     finally:
         models._RUN_MEMO.reset(token)
     # members: F-, F+ (its source), G12 and G21 (its mirror), then F- again.
-    # States: 6 steps each for F+ and G21; W3's chain a*^3 W0 a^3 (6 states)
-    # shares its first 3 with W4's (8 states)
-    assert memo.counts() == {"member": (4, 1), "state": (6 + 6 + 6 + 5, 3)}
+    # States: the dho members are closed forms and build none; W3's chain
+    # a*^3 W0 a^3 (6 states) shares its first 3 with W4's (8 states)
+    assert memo.counts() == {"member": (4, 1), "state": (6 + 5, 3)}
     for got, want in zip((F, G, W), fresh):
         assert got.to_json_dict() == want.to_json_dict()
 
