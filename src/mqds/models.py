@@ -18,16 +18,18 @@ The two-sided eigen-equations H * F = F * H = E F hold with the spectra
     damped ho F: E_nm   = hbar w (m - n) - i hbar g (n + m + 1)
     damped ho G: mu_nm  = hbar w (n + m + 1) - i hbar g (n - m)
 
-The ladder builds of W and the toy family check the closed forms.
+The ladder builds of W and the toy family check the closed forms; each
+builds its member from the one below it, a rung at a time.  Within one
+verification run (`verify.run_all`) the dho builders and the ladder builders
+build each set of arguments once, so the rungs below n are shared.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import partial, wraps
+from functools import wraps
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -143,78 +145,26 @@ def ladder_set(model: ModelId, space: VarSpace) -> Dict[str, QGFunction]:
     return {"a1": a1, "a2": a2, "a1*": a1.conjugate(), "a2*": a2.conjugate()}
 
 
-class _RunMemo:
-    """Members and ladder states built in one verification run, by key, and
-    how often each kind ("member", "state") was reused."""
-
-    __slots__ = ("built", "reused")
-
-    def __init__(self) -> None:
-        self.built: Dict[tuple, QGFunction] = {}
-        self.reused: Counter = Counter()
-
-    def counts(self) -> Dict[str, Tuple[int, int]]:
-        """(built, reused) per kind."""
-        built = Counter(key[0] for key in self.built)
-        return {kind: (built[kind], self.reused[kind]) for kind in ("member", "state")}
-
-
-# `verify.run_all` sets a fresh memo for the run and resets it when the run
+# `verify.run_all` sets a fresh dict for the run and resets it when the run
 # ends; unset, every builder computes afresh and nothing is kept.  A reused
 # value is the result of the same star products in the same order, so it is
 # bit-identical to a rebuilt one.
-_RUN_MEMO: ContextVar[_RunMemo | None] = ContextVar("mqds_run_memo", default=None)
-
-
-def _memoized(key: tuple, build: Callable[[], QGFunction]) -> QGFunction:
-    """build(), or within a run memo the value built for `key` earlier."""
-    memo = _RUN_MEMO.get()
-    if memo is None:
-        return build()
-    out = memo.built.get(key)
-    if out is None:
-        out = memo.built[key] = build()
-    else:
-        memo.reused[key[0]] += 1
-    return out
+_RUN_MEMO: ContextVar[Dict[tuple, QGFunction] | None] = ContextVar("mqds_run_memo", default=None)
 
 
 def _built_once_per_run(build: Callable[..., QGFunction]) -> Callable[..., QGFunction]:
     """Within a run memo, `build` runs once per set of arguments."""
     @wraps(build)
     def builder(*args, **kwargs):
-        key = ("member", build.__name__, args, tuple(sorted(kwargs.items())))
-        return _memoized(key, partial(build, *args, **kwargs))
+        memo = _RUN_MEMO.get()
+        if memo is None:
+            return build(*args, **kwargs)
+        key = (build.__name__, args, tuple(sorted(kwargs.items())))
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = build(*args, **kwargs)
+        return out
     return builder
-
-
-def _value_key(f: QGFunction) -> tuple:
-    """f's space and terms to the bit, in stored order."""
-    return (f.space, tuple((t.poly.keys.tobytes(), t.poly.coeffs.tobytes(),
-                            np.complex128(t.expo.c).tobytes(), t.expo.A.tobytes(), t.expo.b.tobytes())
-                           for t in f.terms))
-
-
-def _ladder(ground: QGFunction, left: Sequence[Tuple[QGFunction, int]],
-            right: Sequence[Tuple[QGFunction, int]]) -> QGFunction:
-    """Star-multiply the ground state by each (generator, count) of `left` from
-    the left in list order, then by each of `right` from the right.  Within a
-    run memo each state is keyed by the ground state and the generators
-    applied so far, so chains that share a prefix build it once."""
-    steps = [(gen, True) for gen, count in left for _ in range(count)]
-    steps += [(gen, False) for gen, count in right for _ in range(count)]
-    memo_on = _RUN_MEMO.get() is not None
-    key = ("state", _value_key(ground)) if memo_on else None
-    gen_keys = {id(gen): _value_key(gen) for gen, _ in steps} if memo_on else {}
-    out = ground
-    for gen, from_left in steps:
-        step = partial(star, gen, out) if from_left else partial(star, out, gen)
-        if key is None:
-            out = step()
-        else:
-            key += ((from_left, gen_keys[id(gen)]),)
-            out = _memoized(key, step)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +214,16 @@ def oscillator_wigner(n: int, space: VarSpace) -> QGFunction:
     return _laguerre_member(space, (2.0 / hbar) * np.eye(2), 1.0 / (math.pi * hbar), [(n, xi)])
 
 
+@_built_once_per_run
 def oscillator_wigner_ladder(n: int, space: VarSpace) -> QGFunction:
-    """W_n from the star-Fock construction a*^n * W_0 * a^n / n!."""
+    """W_n from the star-Fock construction a*^n * W_0 * a^n / n!, a rung at a
+    time: W_n = a* * W_{n-1} * a / n."""
     if not (0 <= n <= 12):
         raise ValueError("supported index range is 0 <= n <= 12")
+    if n == 0:
+        return oscillator_wigner(0, space)
     lad = ladder_set(ModelId.oscillator(), space)
-    out = _ladder(oscillator_wigner(0, space), [(lad["a*"], n)], [(lad["a"], n)])
-    return out.scaled(1.0 / math.factorial(n))
+    return star(star(lad["a*"], oscillator_wigner_ladder(n - 1, space)), lad["a"]).scaled(1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +248,20 @@ def toy_resonant(n: int, sign: str, space: VarSpace) -> QGFunction:
     return _laguerre_member(space, A, 1.0 / (math.pi * hbar), [(n, eta)])
 
 
+@_built_once_per_run
 def toy_resonant_ladder(n: int, sign: str, space: VarSpace) -> QGFunction:
-    """F^+_n = (i/hbar)^n / n! x^n * F^+_0 * p^n (and the conjugate pattern)."""
+    """F^+_n = (i/hbar)^n / n! x^n * F^+_0 * p^n, a rung at a time:
+    F^+_n = (i/hbar n) x * F^+_{n-1} * p, and F^-_n = (-i/hbar n) p * F^-_{n-1} * x."""
+    s = _sign(sign)
     if not (0 <= n <= 12):
         raise ValueError("supported index range is 0 <= n <= 12")
+    if n == 0:
+        return toy_resonant(0, sign, space)
     x = QGFunction.coordinate(space, 0)
     p = QGFunction.coordinate(space, 1)
-    hbar = space.hbar
-    if sign == "+":
-        out = _ladder(toy_resonant(0, "+", space), [(x, n)], [(p, n)])
-        return out.scaled((1j / hbar) ** n / math.factorial(n))
-    out = _ladder(toy_resonant(0, "-", space), [(p, n)], [(x, n)])
-    return out.scaled((-1j / hbar) ** n / math.factorial(n))
+    left, right = (x, p) if s > 0 else (p, x)
+    out = star(star(left, toy_resonant_ladder(n - 1, sign, space)), right)
+    return out.scaled(s * 1j / (space.hbar * n))
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,19 @@ def test_w1_closed_form(space):
         assert W1.evaluate(z) == pytest.approx(want, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [0, 1, 4])
-def test_wigner_ladder_equals_closed(n, space):
+def ladder_cases(*rows):
+    """Each row of parameters at hbar in {1e-3, 1, 100}; a case at hbar = 1
+    is named by its row alone."""
+    def case(row, hbar):
+        name = "-".join(map(str, row)) + ("" if hbar == 1.0 else f"-hbar={hbar:g}")
+        return pytest.param(*row, hbar, id=name)
+    return [case(row, hbar) for row in rows for hbar in (1e-3, 1.0, 100.0)]
+
+
+# n = 12 is the top of the index range
+@pytest.mark.parametrize("n,hbar", ladder_cases((0,), (1,), (4,), (12,)))
+def test_wigner_ladder_equals_closed(n, hbar):
+    space = VarSpace(1, hbar)
     W = oscillator_wigner(n, space)
     Wl = oscillator_wigner_ladder(n, space)
     assert (Wl - W).coeff_norm() <= 1e-10 * W.coeff_norm()
@@ -162,11 +173,20 @@ def test_toy_ground_annihilation(space):
     assert star(G0, p).coeff_norm() == 0
 
 
-@pytest.mark.parametrize("n,sign", [(1, "+"), (1, "-"), (3, "+"), (3, "-")])
-def test_toy_ladder_equals_closed(n, sign, space):
+@pytest.mark.parametrize("n,sign,hbar", ladder_cases(*((n, sign) for n in (1, 3, 12) for sign in "+-")))
+def test_toy_ladder_equals_closed(n, sign, hbar):
+    space = VarSpace(1, hbar)
     F = toy_resonant(n, sign, space)
     Fl = toy_resonant_ladder(n, sign, space)
     assert (Fl - F).coeff_norm() <= 1e-10 * F.coeff_norm()
+
+
+def test_toy_builders_reject_a_sign_the_family_lacks(space):
+    # the ladder builder used to build the minus member for any sign but "+"
+    for build in (toy_resonant, toy_resonant_ladder):
+        for sign in ("x", "none", "", "+-"):
+            with pytest.raises(ValueError, match="signs"):
+                build(2, sign, space)
 
 
 def test_toy_eigen_residuals(space):

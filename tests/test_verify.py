@@ -139,23 +139,29 @@ def test_builders_keep_nothing_outside_a_run():
 
 def test_run_memo_reuses_members_and_chain_states():
     sp1, sp2 = VarSpace(1, 1.0), VarSpace(2, 1.0)
-    fresh = [dho_f(2, 1, "-", sp2), dho_g(1, 2, sp2), oscillator_wigner_ladder(4, sp1)]
-    memo = models._RunMemo()
+    memo = {}
     token = models._RUN_MEMO.set(memo)
     try:
-        F = dho_f(2, 1, "-", sp2)
-        assert dho_f(2, 1, "-", sp2) is F
-        G = dho_g(1, 2, sp2)
         oscillator_wigner_ladder(3, sp1)
-        W = oscillator_wigner_ladder(4, sp1)
+        assert len(memo) == 4  # the rungs W0 .. W3
+        W4 = oscillator_wigner_ladder(4, sp1)
+        assert len(memo) == 5  # one rung on the held W3
+        assert oscillator_wigner_ladder(4, sp1) is W4
+        F = dho_f(2, 1, "-", sp2)
+        assert len(memo) == 7  # F- and F+, its source
+        assert dho_f(2, 1, "-", sp2) is F
+        dho_f(2, 1, "+", sp2)
+        G = dho_g(1, 2, sp2)
+        assert len(memo) == 9  # G12 and G21, its mirror
+        dho_g(2, 1, sp2)
+        assert len(memo) == 9
     finally:
         models._RUN_MEMO.reset(token)
-    # members: F-, F+ (its source), G12 and G21 (its mirror), then F- again.
-    # States: the dho members are closed forms and build none; W3's chain
-    # a*^3 W0 a^3 (6 states) shares its first 3 with W4's (8 states)
-    assert memo.counts() == {"member": (4, 1), "state": (6 + 5, 3)}
-    for got, want in zip((F, G, W), fresh):
-        assert got.to_json_dict() == want.to_json_dict()
+    assert F.to_json_dict() == memo[("dho_f", (2, 1, "+", sp2), ())].conjugate().to_json_dict()
+    assert G.to_json_dict() == memo[("dho_g", (2, 1, sp2), ())].conjugate().to_json_dict()
+    # every held value is bit for bit what a memo-free build returns
+    for (name, args, kwargs), value in memo.items():
+        assert value.to_json_dict() == getattr(models, name)(*args, **dict(kwargs)).to_json_dict(), args
 
 
 def test_run_all_logs_check_times_and_memo_counts(caplog):
@@ -168,9 +174,9 @@ def test_run_all_logs_check_times_and_memo_counts(caplog):
     for name in selectors:
         assert any(m.startswith(f"check {name}: ") and m.endswith(" s") for m in messages)
     memo_lines = [m for m in messages if m.startswith("run memo: ")]
-    assert len(memo_lines) == 2
-    # conjugation_symmetry asks for F+ after building it for F-
-    assert "members built" in memo_lines[0] and not memo_lines[0].endswith(" 0 reused")
+    assert len(memo_lines) == 1
+    # conjugation_symmetry builds dho members, each once
+    assert memo_lines[0].endswith(" values built") and memo_lines[0] != "run memo: 0 values built"
 
 
 def test_report_json_schema():
