@@ -114,6 +114,15 @@ class QGTerm:
                             self.expo.c + other.expo.c)
         return QGTerm(self.poly.mul(other.poly), expo)
 
+    def substituted(self, M, shift=None) -> "QGTerm":
+        """This term at z = M w + shift, for M of shape (dim of z, dim of w)."""
+        M = np.asarray(M, dtype=complex)
+        A, b, c = self.expo.A, self.expo.b, self.expo.c
+        if shift is not None:
+            shift = np.asarray(shift, dtype=complex)
+            b, c = b - A @ shift, c + b @ shift - 0.5 * shift @ A @ shift
+        return QGTerm(self.poly.affine_sub(M, shift), QuadExponent(M.T @ A @ M, M.T @ b, c))
+
 
 class QGFunction:
     """Canonical finite sum of QGTerms over one VarSpace."""
@@ -246,15 +255,7 @@ class QGFunction:
             raise ValueError("substitution matrix has wrong shape")
         if abs(np.linalg.det(M)) < 1e-12:
             raise ValueError("singular substitution matrix")
-        shift = np.zeros(self.space.dim, dtype=complex) if shift is None else np.asarray(shift, dtype=complex)
-        out = []
-        for t in self.terms:
-            A, b, c = t.expo.A, t.expo.b, t.expo.c
-            A2 = sym(M.T @ A @ M)
-            b2 = M.T @ (b - A @ shift)
-            c2 = c + b @ shift - 0.5 * shift @ A @ shift
-            out.append(QGTerm(t.poly.affine_sub(M, shift), QuadExponent(A2, b2, c2)))
-        return QGFunction(self.space, out)
+        return QGFunction(self.space, [t.substituted(M, shift) for t in self.terms])
 
     def conjugate(self) -> "QGFunction":
         return QGFunction(self.space,

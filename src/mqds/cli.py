@@ -90,11 +90,8 @@ def _parse_tolerances(spec: str | None) -> Dict[str, float]:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -267,8 +264,6 @@ def _named_function(name: str, space: VarSpace, args) -> QGFunction:
         try:
             with open(name[1:], "r", encoding="utf-8") as fh:
                 return QGFunction.from_json_dict(json.load(fh))
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
         except (KeyError, TypeError, IndexError) as exc:
             raise UsageError(f"malformed function file '{name[1:]}': {exc!r}") from exc
     if n == 1 and name in builtins_1d:

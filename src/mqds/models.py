@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
-from .gausspoly import integrate_partial, sym
+from .gausspoly import integrate_partial
 from .poly import Poly, _summed
 from .star import star
 
@@ -117,7 +117,7 @@ def lift_dynamics(components: Sequence[Poly], space: VarSpace) -> QGFunction:
     for k, X in enumerate(components):
         if X.dim != n:
             raise ValueError("vector-field components live on configuration space")
-        lifted = X.embed(space.dim, list(range(n)))
+        lifted = X.affine_sub(np.eye(n, 2 * n))
         H = H + lifted.mul(Poly.variable(space.dim, n + k))
     return QGFunction.from_poly(space, H)
 
@@ -379,17 +379,16 @@ def hyperbolic_frame_matrix() -> np.ndarray:
 @dataclass
 class WaveFunction:
     """Configuration-space function: poly x Gaussian terms plus derivative-of-
-    delta atoms at the origin.  `smooth` terms are (Poly over N vars, A, b, c);
-    `atoms` are (derivative orders per variable, coefficient)."""
+    delta atoms at the origin.  `smooth` terms are QGTerms over the N
+    variables; `atoms` are (derivative orders per variable, coefficient)."""
 
     n_vars: int
-    smooth: List[Tuple[Poly, np.ndarray, np.ndarray, complex]] = field(default_factory=list)
+    smooth: List[QGTerm] = field(default_factory=list)
     atoms: List[Tuple[Tuple[int, ...], complex]] = field(default_factory=list)
 
     @classmethod
     def monomial(cls, n_vars: int, expo: Tuple[int, ...], coeff: complex = 1.0) -> "WaveFunction":
-        return cls(n_vars, smooth=[(Poly.monomial(n_vars, expo, coeff),
-                                    np.zeros((n_vars, n_vars)), np.zeros(n_vars), 0.0)])
+        return cls(n_vars, smooth=[QGTerm(Poly.monomial(n_vars, expo, coeff), QuadExponent.zero(n_vars))])
 
     @classmethod
     def constant(cls, n_vars: int, coeff: complex = 1.0) -> "WaveFunction":
@@ -397,9 +396,8 @@ class WaveFunction:
 
     @classmethod
     def gaussian(cls, n_vars: int, A, b=None, c: complex = 0.0, coeff: complex = 1.0) -> "WaveFunction":
-        b = np.zeros(n_vars) if b is None else np.asarray(b, dtype=complex)
-        return cls(n_vars, smooth=[(Poly.const(n_vars, coeff),
-                                    np.asarray(A, dtype=complex), b, c)])
+        b = np.zeros(n_vars) if b is None else b
+        return cls(n_vars, smooth=[QGTerm(Poly.const(n_vars, coeff), QuadExponent(A, b, c))])
 
     @classmethod
     def delta(cls, orders: Tuple[int, ...], coeff: complex = 1.0) -> "WaveFunction":
@@ -421,13 +419,6 @@ class WaveFunction:
         return cls.delta((n,), (-1j * hbar) ** n)
 
 
-def _pullback(A, b, c, M):
-    """Quadratic-form data of q(M w) for a possibly rectangular M."""
-    A2 = sym(M.T @ np.asarray(A, dtype=complex) @ M)
-    b2 = M.T @ np.asarray(b, dtype=complex)
-    return A2, b2, complex(c)
-
-
 def wigner_pair_transform(psi1: WaveFunction, psi2: WaveFunction, space: VarSpace) -> QGFunction:
     """Phase-space function of a resonant pair:
 
@@ -447,65 +438,42 @@ def wigner_pair_transform(psi1: WaveFunction, psi2: WaveFunction, space: VarSpac
     if psi1.atoms and psi2.atoms:
         raise UnsupportedPair("delta-type factors on both sides of the pair")
 
-    d = space.dim
-    out = QGFunction.zero(space)
     pref = (2.0 * math.pi) ** (-n)
-
-    # maps of (x, p, y) -> arguments; variables ordered (x.., p.., y..), dim 3N
-    M_plus = np.zeros((n, 3 * n))   # x + hbar y / 2
-    M_minus = np.zeros((n, 3 * n))  # x - hbar y / 2
-    for k in range(n):
-        M_plus[k, k] = 1.0
-        M_plus[k, 2 * n + k] = hbar / 2.0
-        M_minus[k, k] = 1.0
-        M_minus[k, 2 * n + k] = -hbar / 2.0
+    eye, zero = np.eye(n), np.zeros((n, n))
+    y = list(range(2 * n, 3 * n))
+    # each factor lifted once onto (x.., p.., y..): conj psi1 at x + hbar y/2
+    # and psi2 at x - hbar y/2
+    left = [QGTerm(t.poly.conj(), t.expo.conj()).substituted(np.hstack([eye, zero, hbar / 2.0 * eye]))
+            for t in psi1.smooth]
+    right = [t.substituted(np.hstack([eye, zero, -hbar / 2.0 * eye])) for t in psi2.smooth]
     A_phase = np.zeros((3 * n, 3 * n), dtype=complex)
-    for k in range(n):
-        A_phase[n + k, 2 * n + k] = 1j   # contributes -i p_k y_k
-        A_phase[2 * n + k, n + k] = 1j
+    A_phase[n:2 * n, 2 * n:] = A_phase[2 * n:, n:2 * n] = 1j * eye
 
-    def smooth_to_big(poly: Poly, A, b, c, M) -> Tuple[Poly, np.ndarray, np.ndarray, complex]:
-        A2, b2, c2 = _pullback(A, b, c, M)
-        return poly.affine_sub(M), A2, b2, c2
+    def phased(t: QGTerm) -> QGTerm:
+        """t e^{-i p.y}."""
+        return QGTerm(t.poly, QuadExponent(t.expo.A + A_phase, t.expo.b, t.expo.c))
 
-    def sift(coeff_atom, orders, other_poly, other_A, other_b, other_c, M_other, y_sign):
-        """Collapse the y-integral with delta derivatives at x ± hbar y/2 = 0."""
-        big_poly = other_poly.affine_sub(M_other)
-        A_t, b_t, c_t = _pullback(other_A, other_b, other_c, M_other)
-        A_t = A_t + A_phase
-        term = QGTerm(big_poly, QuadExponent(A_t, b_t, c_t))
-        factor = complex(coeff_atom)
+    def sifted(coeff: complex, orders, other: QGTerm, y_sign: float) -> QGTerm:
+        """(2 pi)^-N int dy other e^{-i p.y} coeff delta^(orders)(x - y_sign hbar y/2):
+        the y-derivatives of `other` e^{-i p.y} at y = y_sign 2x/hbar."""
+        t = phased(other)
+        factor = complex(coeff)
         for k, order in enumerate(orders):
             factor *= (2.0 / hbar) ** (order + 1) * ((-1.0) ** order if y_sign < 0 else 1.0)
             for _ in range(order):
-                term = term.diff(2 * n + k)
-        # substitute y = y_sign * (2/hbar) x  (map from (x, p) back into the big space)
-        S = np.zeros((3 * n, d))
-        S[:d, :d] = np.eye(d)
-        for k in range(n):
-            S[2 * n + k, k] = y_sign * 2.0 / hbar
-        A_f, b_f, c_f = _pullback(term.expo.A, term.expo.b, term.expo.c, S)
-        poly_f = term.poly.affine_sub(S)
-        return QGFunction(space, [QGTerm(poly_f.scaled(factor * pref), QuadExponent(A_f, b_f, c_f))])
+                t = t.diff(2 * n + k)
+        t = t.substituted(np.vstack([np.eye(2 * n), np.hstack([y_sign * 2.0 / hbar * eye, zero])]))
+        return QGTerm(t.poly.scaled(factor * pref), t.expo)
 
-    for s2_poly, s2_A, s2_b, s2_c in psi2.smooth:
-        for s1_poly, s1_A, s1_b, s1_c in psi1.smooth:
-            p1, A1, b1, c1 = smooth_to_big(s1_poly.conj(), np.conj(s1_A), np.conj(s1_b),
-                                           np.conj(complex(s1_c)), M_plus)
-            p2, A2, b2, c2 = smooth_to_big(s2_poly, s2_A, s2_b, s2_c, M_minus)
-            A_t = A1 + A2 + A_phase
-            b_t = b1 + b2
-            c_t = c1 + c2
-            A_out, b_out, c_out, poly_out = integrate_partial(
-                A_t, b_t, c_t, p1.mul(p2), list(range(2 * n, 3 * n)))
-            out = out + QGFunction(space, [QGTerm(poly_out.scaled(pref),
-                                                  QuadExponent(A_out, b_out, c_out))])
-        for orders, coeff in psi1.atoms:
-            # conj(delta atom) sits at x + hbar y/2 = 0  ->  y = -2x/hbar
-            out = out + sift(np.conj(coeff), orders, s2_poly, s2_A, s2_b, s2_c, M_minus, -1.0)
+    terms = []
+    for r in right:
+        for l in left:
+            t = phased(l.mul(r))
+            A, b, c, poly = integrate_partial(t.expo.A, t.expo.b, t.expo.c, t.poly, y)
+            terms.append(QGTerm(poly.scaled(pref), QuadExponent(A, b, c)))
+        # conj(delta atom) sits at x + hbar y/2 = 0  ->  y = -2x/hbar
+        terms += [sifted(np.conj(coeff), orders, r, -1.0) for orders, coeff in psi1.atoms]
     for orders, coeff in psi2.atoms:
-        for s1_poly, s1_A, s1_b, s1_c in psi1.smooth:
-            # delta atom at x - hbar y/2 = 0  ->  y = +2x/hbar
-            out = out + sift(coeff, orders, s1_poly.conj(), np.conj(s1_A), np.conj(s1_b),
-                             np.conj(complex(s1_c)), M_plus, 1.0)
-    return out
+        # delta atom at x - hbar y/2 = 0  ->  y = +2x/hbar
+        terms += [sifted(coeff, orders, l, 1.0) for l in left]
+    return QGFunction(space, terms)

@@ -192,16 +192,6 @@ class Poly:
             keys, coeffs = merge(np.concatenate(parts_k), np.concatenate(parts_c))
         return Poly.from_packed(dim_out, pack(unpack(keys, dim_out, bits), packed_bits(dim_out)), coeffs)
 
-    def embed(self, dim_out: int, var_map) -> "Poly":
-        """Relabel variable i -> var_map[i] in a larger variable set."""
-        exps = self._exponents()
-        out = np.zeros((len(exps), dim_out), dtype=np.int64)
-        for i in range(self.dim):
-            out[:, var_map[i]] += exps[:, i]
-        bits = packed_bits(dim_out)
-        check_packed_degree(self.degree(), bits, dim_out)
-        return Poly.from_packed(dim_out, *merge(pack(out, bits), self.coeffs))
-
     def pruned(self, abs_tol: float, unit: float) -> "Poly":
         """Keep the terms with |c| * unit^|e| > abs_tol."""
         keep = self._sizes(unit) > abs_tol

@@ -429,6 +429,14 @@ def test_io_error_exit_code():
     assert r.returncode == 3
 
 
+def test_unreadable_function_file_exit_code(tmp_path):
+    missing = tmp_path / "missing.json"
+    r = run_cli("oracle", "--f", f"@{missing}", "--g", "W0", "--points", "0,0")
+    assert r.returncode == 3
+    assert r.stderr.splitlines() == [
+        f"mqds:ERROR: I/O failure: [Errno 2] No such file or directory: '{missing}'"]
+
+
 def test_usage_error_without_subcommand():
     r = run_cli()
     assert r.returncode == 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import dho_ladder, f0_plus, w0
-from mqds.algebra import QGFunction, VarSpace, poisson_bracket
+from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
 from mqds.models import (ModelId, UnsupportedPair, WaveFunction, conjugation_by_V, dho_f,
                          dho_g, eigenvalue, hamiltonian, hyperbolic_frame_matrix,
                          koopman_apply, ladder_set, lift_dynamics, oscillator_wigner,
@@ -90,7 +90,7 @@ def test_lift_reproduces_flow(space2):
     H = lift_dynamics(X, space2)
     for k in range(2):
         xk = QGFunction.coordinate(space2, k)
-        want = QGFunction.from_poly(space2, X[k].embed(4, [0, 1]))
+        want = QGFunction.from_poly(space2, X[k].affine_sub(np.eye(2, 4)))
         assert (poisson_bracket(xk, H) - want).coeff_norm() <= 1e-14
 
 
@@ -288,13 +288,15 @@ def test_dho_f_minus_family(space2):
 
 @pytest.mark.parametrize("hbar", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
 def test_dho_closed_forms_match_the_ladder(hbar):
-    # the ladder F carries its normalizing division's rounding, up to 3.4e-11
+    # the ladder F carries its normalizing division's rounding, up to 3.4e-11;
+    # the closed forms' integrals read within 1.3e-9 of 1 (F66 at hbar = 1e-2)
     sp = VarSpace(2, hbar)
     for n in range(7):
         for m in range(7):
             F, G = dho_f(n, m, "+", sp), dho_g(n, m, sp)
             assert (dho_ladder("F", n, m, sp) - F).coeff_norm() <= 1e-10 * F.coeff_norm(), (n, m)
             assert (dho_ladder("G", n, m, sp) - G).coeff_norm() <= 1e-13 * G.coeff_norm(), (n, m)
+            assert abs(F.gaussian_integral() - 1) <= 1e-8, (n, m)
 
 
 @pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0])
@@ -406,12 +408,48 @@ def test_transform_deltadelta_const_gives_f00(space2):
     assert (T - ref).coeff_norm() <= 1e-10 * ref.coeff_norm()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_transform_resonant_pairs(n, space):
-    # kappa_n = n! (i hbar)^n relates the raw transform to the family convention
-    T = wigner_pair_transform(WaveFunction.toy_plus(n), WaveFunction.toy_minus(n, space.hbar), space)
-    ref = toy_resonant(n, "+", space).scaled(math.factorial(n) * (1j * space.hbar) ** n)
-    assert (T - ref).coeff_norm() <= 1e-10 * ref.coeff_norm()
+@pytest.mark.parametrize("n", range(13))
+def test_transform_resonant_pairs(n):
+    # kappa_n = n! (i hbar)^n relates the raw transform to the family
+    # convention; the reversed pair, with its delta atom in psi1, gives the
+    # minus family with conj(kappa_n).  Both read at most 5.2e-16.
+    for hbar in (1e-3, 1.0, 100.0):
+        sp = VarSpace(1, hbar)
+        plus, minus = WaveFunction.toy_plus(n), WaveFunction.toy_minus(n, hbar)
+        for (psi1, psi2), sign, kappa in (((plus, minus), "+", (1j * hbar) ** n),
+                                          ((minus, plus), "-", (-1j * hbar) ** n)):
+            T = wigner_pair_transform(psi1, psi2, sp)
+            ref = toy_resonant(n, sign, sp).scaled(math.factorial(n) * kappa)
+            assert (T - ref).coeff_norm() <= 1e-14 * ref.coeff_norm(), (hbar, sign)
+
+
+def hermite_state(n, hbar):
+    """(pi hbar)^(-1/4) (2^n n!)^(-1/2) H_n(x/sqrt(hbar)) e^{-x^2/2 hbar} as one QGTerm."""
+    h = np.polynomial.hermite.herm2poly([0] * n + [1])
+    norm = (math.pi * hbar) ** -0.25 / math.sqrt(2.0 ** n * math.factorial(n))
+    poly = Poly(1, {(k,): norm * c * hbar ** (-k / 2) for k, c in enumerate(h) if c})
+    return WaveFunction(1, smooth=[QGTerm(poly, QuadExponent([[1.0 / hbar]], [0.0]))])
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0])
+def test_transform_smooth_pairs_of_hermite_states(hbar):
+    # T(psi_n, psi_n) is the Wigner function W_n (worst 3.5e-13); T(psi_n, psi_m)
+    # is a two-sided eigenfunction whose first factor sets the left eigenvalue
+    # (worst 3.2e-16; with E_n and E_m swapped it reads 0.89)
+    sp = VarSpace(1, hbar)
+    model = ModelId.oscillator()
+    for n in range(13):
+        psi = hermite_state(n, hbar)
+        ref = oscillator_wigner(n, sp)
+        assert (wigner_pair_transform(psi, psi, sp) - ref).coeff_norm() <= 1e-12 * ref.coeff_norm(), n
+    H = hamiltonian(model, sp)
+    for n in range(5):
+        for m in range(5):
+            T = wigner_pair_transform(hermite_state(n, hbar), hermite_state(m, hbar), sp)
+            En, Em = eigenvalue(model, sp, n), eigenvalue(model, sp, m)
+            scale = max(abs(En), abs(Em)) * T.coeff_norm()
+            assert (star(H, T) - T.scaled(En)).coeff_norm() <= 1e-14 * scale, (n, m)
+            assert (star(T, H) - T.scaled(Em)).coeff_norm() <= 1e-14 * scale, (n, m)
 
 
 def test_transform_delta_delta_rejected(space):

@@ -60,12 +60,6 @@ def test_affine_sub_shift():
     assert q.terms == {(0,): 1.0, (1,): 2.0, (2,): 1.0}
 
 
-def test_embed():
-    p = Poly(1, {(2,): 3.0})
-    q = p.embed(3, [1])
-    assert q.terms == {(0, 2, 0): 3.0}
-
-
 def test_canonical_order_graded_lex():
     p = Poly(2, {(0, 2): 1.0, (1, 0): 1.0, (0, 0): 1.0, (2, 0): 1.0})
     keys = [e for e, _ in p.canonical_items()]

@@ -12,6 +12,9 @@ Asserted:
   * laguerre_top:  L_n loses its top coefficient for n >= 1, in every
     family; the W and toy `ladder_closed` entries, which build their
     members by star products, catch it too.
+  * swapped_pair:  the resonant-pair transform exchanges psi1 and psi2.
+    Every `pair_transform_match` case but the symmetric Gaussian pair
+    catches it.
 
 Open (no registry entry catches them yet):
   * the dropped (-1)^(n+m) of G alone: G is not integrable, and its
@@ -22,7 +25,7 @@ Open (no registry entry catches them yet):
 
 import pytest
 
-from mqds import models
+from mqds import models, verify
 from mqds.verify import run_all
 
 HBARS = (1e-3, 1.0, 100.0)
@@ -51,15 +54,22 @@ def laguerre_top(coeffs):
     return mutated
 
 
-# mutation -> (the patched `models` function, its wrapper, the (check, family)
-# pairs that fail); a family's ladder_closed entries count as "<family> ladder"
+def swapped_pair(transform):
+    def mutated(psi1, psi2, space):
+        return transform(psi2, psi1, space)
+    return mutated
+
+
+# mutation -> (the patched module and function, its wrapper, the (check, family)
+# pairs that fail); a family's ladder_closed entries count as "<family> ladder".
+# `verify` binds wigner_pair_transform at import, so that mutation patches it there.
 MUTATIONS = {
-    "eta_sign": ("_laguerre_member", eta_sign, {
+    "eta_sign": (models, "_laguerre_member", eta_sign, {
         ("eigen_residual", "F_dho"), ("eigen_residual", "G_dho"), ("star_orthogonality", "F_dho+"),
         ("marginal_delta", "F_dho"), ("normalization", "F_dho")}),
-    "dho_sign": ("_laguerre_member", dho_sign, {
+    "dho_sign": (models, "_laguerre_member", dho_sign, {
         ("star_orthogonality", "F_dho+"), ("marginal_delta", "F_dho"), ("normalization", "F_dho")}),
-    "laguerre_top": ("laguerre_coeffs", laguerre_top, {
+    "laguerre_top": (models, "laguerre_coeffs", laguerre_top, {
         ("eigen_residual", "W"), ("eigen_residual", "W ladder"), ("eigen_residual", "F_toy"),
         ("eigen_residual", "F_toy ladder"), ("eigen_residual", "F_dho"), ("eigen_residual", "G_dho"),
         ("star_orthogonality", "W"), ("star_orthogonality", "F_toy+"),
@@ -68,6 +78,7 @@ MUTATIONS = {
         ("normalization", "W"), ("normalization", "F_toy"), ("normalization", "F_dho"),
         ("identity_resolution", "W"), ("identity_resolution", "F_toy"),
         ("pair_transform_match", None)}),
+    "swapped_pair": (verify, "wigner_pair_transform", swapped_pair, {("pair_transform_match", None)}),
 }
 
 
@@ -90,6 +101,6 @@ def test_unmutated_registry_passes(hbar):
 @pytest.mark.parametrize("hbar", HBARS)
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_mutation_is_caught(name, hbar, monkeypatch):
-    target, mutate, caught = MUTATIONS[name]
-    monkeypatch.setattr(models, target, mutate(getattr(models, target)))
+    module, target, mutate, caught = MUTATIONS[name]
+    monkeypatch.setattr(module, target, mutate(getattr(module, target)))
     assert failures(hbar) == caught
