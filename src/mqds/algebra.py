@@ -15,6 +15,7 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -83,9 +84,6 @@ class QuadExponent:
                 and np.abs(self.b - other.b).max(initial=0.0) <= EXPO_EQ_TOL
                 and abs(self.c - other.c) <= EXPO_EQ_TOL)
 
-    def q_eval(self, z: np.ndarray) -> complex:
-        return complex(-0.5 * z @ self.A @ z + self.b @ z + self.c)
-
     def conj(self) -> "QuadExponent":
         return QuadExponent(self.A.conjugate(), self.b.conjugate(), self.c.conjugate())
 
@@ -93,11 +91,18 @@ class QuadExponent:
 class QGTerm:
     """One polynomial-times-Gaussian term."""
 
-    __slots__ = ("poly", "expo")
+    __slots__ = ("poly", "expo", "_plan")
 
     def __init__(self, poly: Poly, expo: QuadExponent):
         self.poly = poly
         self.expo = expo
+        self._plan = None
+
+    def plan(self) -> "_EvalPlan":
+        """This term's evaluation schedule, built on first use."""
+        if self._plan is None:
+            self._plan = _EvalPlan(self)
+        return self._plan
 
     def diff(self, index: int) -> "QGTerm":
         """d_index (P e^q) = (d_index P + (d_index q) P) e^q, on packed exponents."""
@@ -199,48 +204,48 @@ class QGFunction:
 
     # -- calculus -------------------------------------------------------------
     def evaluate(self, z) -> complex:
+        """f(z): each term by its `_EvalPlan`, the terms added in order; the
+        operations of `evaluate_grid` at one point, so that the two agree
+        at a real point up to the signs of zeros."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         if len(z) != self.space.dim:
             raise ValueError(f"point has dimension {len(z)}, expected {self.space.dim}")
+        point = z.tolist() if z.imag.any() else z.real.tolist()
         total = 0j
         for t in self.terms:
-            total += t.poly.eval(z) * np.exp(t.expo.q_eval(z))
+            total += t.plan().at(point)
         return complex(total)
 
     def evaluate_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on the tensor grid of one 1-D node array per variable.
 
-        Returns an array of shape tuple(len(a) for a in axes), computed by
-        broadcasting (no point list in memory); a variable held fixed is a
-        length-1 axis.
+        Returns an array of shape tuple(len(a) for a in axes); a variable
+        held fixed is a length-1 axis.  Every operation is elementwise, so a
+        point's value does not depend on the grid around it.  Horner level k
+        of a term (see `_EvalPlan`) holds one row per distinct power of
+        z_0..z_{k-1} on the grid of z_k..z_{d-1}, which outgrows the grid
+        when the leading axes are short; the grid is then evaluated in pieces
+        along its last axis longer than 1, so that no level of a piece holds
+        more than max(half the grid, _LEVEL_POINTS) values.
         """
         d = self.space.dim
         if len(axes) != d:
             raise ValueError(f"got {len(axes)} axes, expected {d}")
+        axes = [np.asarray(a).reshape(-1) for a in axes]
+        axes = [a if np.iscomplexobj(a) else a.astype(float, copy=False) for a in axes]
         shape = tuple(len(a) for a in axes)
-        xs = [np.reshape(a, [len(a) if i == k else 1 for i in range(d)]) for k, a in enumerate(axes)]
-        vals = np.zeros(shape, dtype=complex)
-        for t in self.terms:
-            # monomials and exponent grown from the 1-D axes by broadcasting,
-            # so at most three full-size arrays (vals, pv, q) are alive at once
-            pv = np.zeros(shape, dtype=complex)
-            exps = unpack(t.poly.keys, d, packed_bits(d))
-            for e, coef in zip(exps.tolist(), t.poly.coeffs.tolist()):
-                mono = coef
-                for x, k in zip(xs, e):
-                    if k:
-                        mono = mono * x.astype(complex) ** k
-                pv += mono
-            A, b = t.expo.A, t.expo.b
-            q = t.expo.c
-            for i in range(d):
-                q = _add_into(q, -0.5 * A[i, i] * xs[i] ** 2 + b[i] * xs[i])
-                for j in range(i + 1, d):
-                    if A[i, j] != 0:
-                        q = _add_into(q, (-A[i, j]) * xs[i] * xs[j])
-            np.exp(q, out=q)
-            q *= pv
-            vals += q
+        plans = [t.plan() for t in self.terms]
+        need = max((p.level_points(shape) for p in plans), default=0)
+        budget = max(math.prod(shape) // 2, _LEVEL_POINTS)
+        long = [k for k, n in enumerate(shape) if n > 1]
+        if need <= budget or not long:
+            return _grid_sum(plans, axes)
+        j = long[-1]
+        step = max(1, shape[j] * budget // need)
+        vals = np.empty(shape, dtype=complex)
+        for lo in range(0, shape[j], step):
+            piece = axes[:j] + [axes[j][lo:lo + step]] + axes[j + 1:]
+            vals[(slice(None),) * j + (slice(lo, lo + step),)] = _grid_sum(plans, piece)
         return vals
 
     def differentiate(self, var_index: int) -> "QGFunction":
@@ -318,16 +323,189 @@ class QGFunction:
         return f"QGFunction(N={self.space.n_dof}, hbar={self.space.hbar}, {len(self.terms)} terms)"
 
 
-def _add_into(acc, term: np.ndarray):
-    """acc + term, in place in whichever scratch operand has the sum's shape."""
-    shape = np.broadcast_shapes(np.shape(acc), term.shape)
-    if np.shape(acc) == shape:
-        acc += term
-        return acc
-    if term.shape == shape:
-        term += acc
-        return term
-    return acc + term
+# a Horner level may hold this many values, or half the grid if more, before
+# `evaluate_grid` splits the grid
+_LEVEL_POINTS = 1 << 16
+
+
+class _EvalPlan:
+    """How one term P(z) e^{q(z)} is evaluated, at a point or on a tensor grid.
+
+    Polynomial: Horner along one variable at a time, the last first.  At
+    level k the rows are the polynomials in z_k..z_{d-1} that multiply each
+    distinct power of z_0..z_{k-1}; a row runs Horner over its own powers of
+    z_k, highest first, multiplying by z_k^gap (a power by repeated
+    multiplication) before adding each next coefficient, and by the lowest
+    power last.  A grid runs all rows of a level at once, rows with fewer
+    powers padded at the front with zero coefficients and gaps of 0, which
+    changes only the signs of zeros.
+
+    Exponential: q is summed at every point, the pair terms z_i (-A_ij z_j)
+    first, then the axis terms (-A_ii z_i / 2 + b_i) z_i, then c, and its
+    exponential multiplies the polynomial; a term with neither pair nor
+    axis terms multiplies it by e^c.
+    """
+
+    __slots__ = ("coeffs", "levels", "c", "axis", "pairs")
+
+    def __init__(self, term: QGTerm):
+        poly, expo = term.poly, term.expo
+        d = poly.dim
+        A, b = expo.A.tolist(), expo.b.tolist()
+        self.pairs = [(i, j, -A[i][j]) for i in range(d) for j in range(i + 1, d) if A[i][j] != 0]
+        self.axis = [(k, -0.5 * A[k][k], b[k]) for k in range(d) if A[k][k] != 0 or b[k] != 0]
+        self.c = complex(expo.c)
+
+        exps = unpack(poly.keys, d, packed_bits(d))
+        order = np.lexsort(exps.T[::-1])
+        # the coefficients in row order, then the zero that pads short rows
+        self.coeffs = np.append(poly.coeffs[order], 0j)
+        rows = list(map(tuple, exps[order].tolist()))
+        self.levels = []
+        for k in range(d - 1, -1, -1):
+            # rows sorted by exponent tuple: a prefix's rows are contiguous,
+            # its powers of z_k ascending
+            bounds, lo = [], 0
+            for hi in range(1, len(rows) + 1):
+                if hi == len(rows) or rows[hi][:k] != rows[lo][:k]:
+                    bounds.append((lo, hi))
+                    lo = hi
+            powers = [r[k] for r in rows]
+            # grid tables: each prefix's rows highest power first, the last
+            # in the last column; the gap before each column, then the
+            # lowest power; row len(rows) is the zero row
+            width = max(hi - lo for lo, hi in bounds)
+            src, gaps = [], []
+            for lo, hi in bounds:
+                pad = width - (hi - lo)
+                src.append([len(rows)] * pad + list(range(hi - 1, lo - 1, -1)))
+                gaps.append([0] * pad + [powers[r] - powers[r - 1] for r in range(hi - 1, lo, -1)]
+                            + [powers[lo]])
+            gaps = np.array(gaps)
+            self.levels.append((k, int(gaps.max()), np.array(src), gaps, bounds, powers))
+            rows = [rows[lo][:k] for lo, _ in bounds]
+
+    def level_points(self, shape: Sequence[int]) -> int:
+        """The most values a Horner level holds on a grid of this shape."""
+        return max(len(src) * math.prod(shape[k:]) for k, _, src, _, _, _ in self.levels)
+
+    def grid(self, axes: List[np.ndarray]) -> np.ndarray:
+        shape = tuple(len(a) for a in axes)
+        R, T = self.coeffs[:, None], 1
+        for k, top, src, gaps, _, _ in self.levels:
+            a = axes[k]
+            n = len(a)
+            pw = _powers(a, top)
+            # every level but the last keeps a zero row behind its rows
+            acc = np.empty((len(src) + (k > 0), n, T), dtype=complex)
+            acc[len(src):] = 0
+            body = acc[:len(src)]
+            body[...] = R[src[:, 0], None]
+            for j in range(1, src.shape[1]):
+                _mul(body, pw[gaps[:, j - 1], :, None])
+                body += R[src[:, j], None]
+            if gaps[:, -1].any():
+                _mul(body, pw[gaps[:, -1], :, None])
+            R, T = acc.reshape(len(acc), n * T), n * T
+        vals = R.reshape(shape)
+        if self.pairs or self.axis:
+            _mul(vals, self._exp_q_grid(axes, shape), scratch=True)
+        elif self.c:
+            _mul(vals, np.exp(self.c))
+        return vals
+
+    def _exp_q_grid(self, axes: List[np.ndarray], shape) -> np.ndarray:
+        d = len(axes)
+        xs = [a.reshape([-1 if i == k else 1 for i in range(d)]) for k, a in enumerate(axes)]
+        # q's terms as factor pairs: each product is formed as it is added,
+        # the first straight into q, so that a pair term spanning the whole
+        # grid (N = 1) needs no array of its own
+        parts = [(xs[i], w * xs[j]) for i, j, w in self.pairs]
+        parts += [((h * xs[k] + b) * xs[k], 1.0) for k, h, b in self.axis]
+        q = np.empty(shape, dtype=complex)
+        np.multiply(*parts[0], out=q)
+        for u, v in parts[1:]:
+            q += u * v
+        if self.c:
+            q += self.c
+        return np.exp(q, out=q)
+
+    def at(self, z: List) -> complex:
+        R = self.coeffs.tolist()
+        for k, top, _, _, bounds, powers in self.levels:
+            x = z[k]
+            pw = [1.0, x]
+            for _ in range(top - 1):
+                pw.append(pw[-1] * x)
+            out = []
+            for lo, hi in bounds:
+                acc, last = R[hi - 1], powers[hi - 1]
+                for r in range(hi - 2, lo - 1, -1):
+                    acc = acc * pw[last - powers[r]] + R[r]
+                    last = powers[r]
+                out.append(acc * pw[last] if last else acc)
+            R = out
+        if not (self.pairs or self.axis):
+            return R[0] * cmath.exp(self.c) if self.c else R[0]
+        parts = [z[i] * (w * z[j]) for i, j, w in self.pairs]
+        parts += [(h * z[k] + b) * z[k] for k, h, b in self.axis]
+        q = parts[0]
+        for u in parts[1:]:
+            q += u
+        if self.c:
+            q += self.c
+        return R[0] * cmath.exp(q)
+
+
+def _grid_sum(plans: List[_EvalPlan], axes: List[np.ndarray]) -> np.ndarray:
+    """The terms' grids added in order."""
+    vals = None
+    for plan in plans:
+        v = plan.grid(axes)
+        if vals is None:
+            vals = v
+        else:
+            vals += v
+    return np.zeros(tuple(len(a) for a in axes), dtype=complex) if vals is None else vals
+
+
+def _powers(a: np.ndarray, top: int) -> np.ndarray:
+    """Rows 1, a, a*a, ... up to a**top, each power by one more multiplication."""
+    out = np.ones((top + 1, len(a)), dtype=a.dtype)
+    for g in range(1, top + 1):
+        out[g] = out[g - 1]
+        _mul(out[g], a)
+    return out
+
+
+def _mul(acc: np.ndarray, p: np.ndarray, scratch: bool = False) -> None:
+    """acc *= p, p broadcast to acc, each product rounded as Python rounds it.
+
+    numpy's complex multiply does not: its one-element in-place loop rounds
+    differently from its vector loops, so a value would depend on the grid
+    around it.  Here a complex product is its four real products
+    and two sums; a real p scales the real and imaginary parts alone, which
+    is the complex product with p + 0j up to the signs of zeros (acc is
+    C-contiguous there).  With `scratch`, p has acc's shape and its
+    imaginary part is used as workspace.
+    """
+    if not np.iscomplexobj(acc):
+        acc *= p
+    elif not np.iscomplexobj(p):
+        parts = acc.view(float).reshape(*acc.shape, 2)
+        parts *= p[..., None]
+    else:
+        re, im = acc.real, acc.imag
+        t = re * p.imag
+        re *= p.real
+        if scratch:
+            u = p.imag
+            u *= im
+        else:
+            u = im * p.imag
+        re -= u
+        im *= p.real
+        im += t
 
 
 def _canonicalize(space: VarSpace, terms: List[QGTerm]) -> List[QGTerm]:

@@ -9,13 +9,15 @@ exist), 3 I/O error, 4 oracle non-convergence.  Diagnostics go to stderr
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
 import logging
 import math
 import os
 import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -36,6 +38,8 @@ EXIT_ORACLE = 4
 
 # the most rows a table may have: grid points or spectrum rows
 _MAX_ROWS = 10**7
+# the most grid points evaluated and formatted at once by `mqds eigenfunction`
+_SLAB_POINTS = 200_000
 
 _MODEL_NAMES = {
     "oscillator": "harmonic_oscillator",
@@ -88,12 +92,20 @@ def _parse_tolerances(spec: str | None) -> Dict[str, float]:
     return out
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None) -> Iterator[TextIO]:
+    """The data stream: the file at `out_path`, or stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: TextIO) -> None:
+    """Write one piece of data: the one write path, whose bytes
+    perfbench/tracer.py counts."""
+    out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +134,15 @@ def cmd_spectrum(args) -> int:
         data = {"metadata": meta,
                 "rows": [{"indices": list(idx), "re": ev.real, "im": ev.imag}
                          for idx, ev in rows]}
-        _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args.out)
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     else:
         head = "n,re,im" if model.n_dof == 1 else "n,m,re,im"
         lines = [head]
         for idx, ev in rows:
             lines.append(",".join([str(i) for i in idx] + [_fmt(ev.real), _fmt(ev.imag)]))
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    with _output(args.out) as out:
+        _emit(text, out)
     return EXIT_OK
 
 
@@ -177,18 +191,60 @@ _BUILTINS = {
 }
 
 
-def _json_with_values(data: Dict, values: np.ndarray) -> str:
-    """json.dumps({**data, "values": [[re, im], ...]}, indent=2, sort_keys=True)
-    for a non-empty `values` and keys of `data` that sort before "values".
+def _slabs(shape: Sequence[int]) -> Iterator[Tuple[slice, ...]]:
+    """Consecutive blocks of a row-major grid, in row order, each a tensor
+    grid of at most _SLAB_POINTS points: rows of the first axis whose
+    trailing block fits, or else one first-axis row split the same way."""
+    if math.prod(shape) <= _SLAB_POINTS:
+        yield tuple(slice(None) for _ in shape)
+        return
+    inner = math.prod(shape[1:])
+    if inner <= _SLAB_POINTS:
+        step = _SLAB_POINTS // inner
+        for i in range(0, shape[0], step):
+            yield (slice(i, i + step), *(slice(None) for _ in shape[1:]))
+        return
+    for i in range(shape[0]):
+        for rest in _slabs(shape[1:]):
+            yield (slice(i, i + 1), *rest)
 
-    The indented encoder walks every pair in Python; here json's C encoder
-    writes the flat float list (the same float reprs, NaN and Infinity) and
-    the pairs are laid out by join.
+
+def _write_csv(names: List[str], grids: List[np.ndarray],
+               slabs: Iterable[Tuple[Tuple[slice, ...], np.ndarray]], out: TextIO) -> None:
+    """Rows x-major, as the values are (the last axis varies fastest); each
+    row is one %-format of its coordinates, formatted once per axis node and
+    joined, and of its value."""
+    coords = [[_fmt(c) for c in g.tolist()] for g in grids]
+    _emit(",".join(names) + ",re,im\n", out)
+    for sl, values in slabs:
+        prefixes = map(",".join, itertools.product(*(c[s] for c, s in zip(coords, sl))))
+        _emit("".join(map("%s,%.17g,%.17g\n".__mod__,
+                          zip(prefixes, values.real.tolist(), values.imag.tolist()))), out)
+
+
+_JSON_PAIR_SEP = "\n    ],\n    [\n      "
+
+
+def _write_json(data: Dict, slabs: Iterable[np.ndarray], out: TextIO) -> None:
+    """json.dumps({**data, "values": [[re, im], ...]}, indent=2, sort_keys=True)
+    + newline, for keys of `data` that sort before "values" and at least one
+    value, written a slab of values at a time.
+
+    The indented encoder walks every pair in Python; here each pair is one
+    %-format of float reprs, json's own spelling of a finite float, and
+    json's NaN and Infinity replace Python's nan and inf where they occur.
     """
     head = json.dumps(data, indent=2, sort_keys=True)[:-2]       # drop "\n}"
-    floats = iter(json.dumps(values.view(float).tolist())[1:-1].split(", "))
-    body = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(floats, floats)))
-    return head + ',\n  "values": [\n    [\n      ' + body + "\n    ]\n  ]\n}"
+    _emit(head + ',\n  "values": [\n    [\n      ', out)
+    sep = ""
+    for values in slabs:
+        body = _JSON_PAIR_SEP.join(map("%r,\n      %r".__mod__,
+                                       zip(values.real.tolist(), values.imag.tolist())))
+        if not np.isfinite(values).all():
+            body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        _emit(sep + body, out)
+        sep = _JSON_PAIR_SEP
+    _emit("\n    ]\n  ]\n}\n", out)
 
 
 def cmd_eigenfunction(args) -> int:
@@ -204,25 +260,23 @@ def cmd_eigenfunction(args) -> int:
     names = space.var_names()
     axis_by_name = dict(axes)
     grids = [axis_by_name.get(nm, np.array([0.0])) for nm in names]
-    values = f.evaluate_grid(grids).ravel()
+    # one evaluation per slab, so that no full-grid array or string exists
+    slabs = ((sl, f.evaluate_grid([g[s] for g, s in zip(grids, sl)]).ravel())
+             for sl in _slabs([len(g) for g in grids]))
 
     meta = {"model": model.kind, "family": args.family, "indices": list(indices),
             "sign": args.sign, "hbar": args.hbar,
             "parameters": {"omega": args.omega, "gamma": args.gamma}}
-    if args.format == "json":
-        data = {
-            "spec": {nm: {"min": float(a[0]), "max": float(a[-1]), "points": len(a)}
-                     for nm, a in axes},
-            "metadata": meta,
-        }
-        _emit(_json_with_values(data, values) + "\n", args.out)
-    else:
-        # rows are x-major, as values are: the last axis varies fastest
-        coords = itertools.product(*([_fmt(c) for c in g.tolist()] for g in grids))
-        lines = [",".join(names) + ",re,im"]
-        lines.extend(",".join(row + (_fmt(v.real), _fmt(v.imag)))
-                     for row, v in zip(coords, values.tolist()))
-        _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as out:
+        if args.format == "json":
+            data = {
+                "spec": {nm: {"min": float(a[0]), "max": float(a[-1]), "points": len(a)}
+                         for nm, a in axes},
+                "metadata": meta,
+            }
+            _write_json(data, (values for _, values in slabs), out)
+        else:
+            _write_csv(names, grids, slabs, out)
     return EXIT_OK
 
 
@@ -241,7 +295,8 @@ def cmd_verify(args) -> int:
     log.info("running checks: %s", selectors or "all")
     report = run_all(selectors=selectors, seed=args.seed, tolerance_overrides=overrides,
                      hbar=args.hbar, omega=args.omega, gamma=args.gamma)
-    _emit(report.to_json() + "\n", args.out)
+    with _output(args.out) as out:
+        _emit(report.to_json() + "\n", out)
     for e in report.failed_entries():
         log.error("failed: %s %s residual=%.3g tol=%.3g",
                   e.name, e.params, e.residual, e.tolerance)
@@ -305,7 +360,8 @@ def cmd_oracle(args) -> int:
         lines.append(",".join(["/".join(_fmt(v) for v in z),
                                _fmt(closed.real), _fmt(closed.imag),
                                _fmt(quad.real), _fmt(quad.imag), _fmt(eps), f"{rel:.3e}"]))
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as out:
+        _emit("\n".join(lines) + "\n", out)
     return EXIT_OK
 
 
@@ -375,11 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse_args call starts a
+    fresh namespace from the defaults, so in-process calls share it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -151,16 +151,6 @@ class Poly:
     def conj(self) -> "Poly":
         return Poly.from_packed(self.dim, self.keys, self.coeffs.conj())
 
-    def eval(self, z) -> complex:
-        """P(z): each monomial c z_0^e_0 z_1^e_1 ... multiplied in that order,
-        and the monomials added one after another in key order, as
-        `QGFunction.evaluate_grid` adds them at each grid point."""
-        z = np.asarray(z, dtype=complex)
-        monomials = self.coeffs
-        for zi, e in zip(z, self._exponents().T):
-            monomials = monomials * zi ** e
-        return complex(sum(monomials.tolist()))
-
     def affine_sub(self, M, shift=None) -> "Poly":
         """Substitute z_i -> sum_j M[i, j] w_j + shift_i; result over w.
 

@@ -7,6 +7,7 @@ quadrature oracle alongside the assertion.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from conftest import f0_plus, random_gaussian, random_polynomial, w0
+from mqds import algebra
 from mqds.algebra import QGFunction, QGTerm, QuadExponent, VarSpace, poisson_bracket
 from mqds.gausspoly import NonIntegrable
 from mqds.models import dho_f, dho_g, oscillator_wigner, toy_resonant
@@ -78,6 +80,107 @@ def test_evaluate_grid_matches_evaluate_pinned_axes(space2, build):
 def test_evaluate_grid_axis_count_mismatch(space):
     with pytest.raises(ValueError):
         w0(space).evaluate_grid([np.zeros(3)])
+
+
+def laguerre_member(n, eta, hbar):
+    """((-1)^n / pi hbar) e^{-eta/2} L_n(eta), with L_n by numpy's Laguerre
+    series: the closed form of W_n (eta = 2(x^2 + p^2)/hbar) and of the toy
+    F^s_n (eta = s 4i x p / hbar), independent of the engine's polynomials."""
+    return ((-1.0) ** n / (math.pi * hbar) * np.exp(-eta / 2)
+            * np.polynomial.laguerre.lagval(eta, [0.0] * n + [1.0]))
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0])
+def test_evaluate_grid_matches_the_laguerre_closed_form(hbar):
+    # axes out to 3.2 sqrt(hbar): the corners sit at |z| = 4.5 natural units
+    unit = math.sqrt(hbar)
+    axes = [np.linspace(-3.2, 3.2, 61) * unit, np.linspace(-3.1, 3.2, 58) * unit]
+    x, p = np.meshgrid(*axes, indexing="ij")
+    sp = VarSpace(1, hbar)
+    cases = [(oscillator_wigner(n, sp), n, 2 * (x * x + p * p) / hbar) for n in (0, 6, 12)]
+    cases += [(toy_resonant(n, sign, sp), n, s * 4j * x * p / hbar)
+              for n in range(13) for sign, s in (("+", 1), ("-", -1))]
+    for f, n, eta in cases:
+        want = laguerre_member(n, eta, hbar)
+        got = f.evaluate_grid(axes)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (f, n)
+
+
+_COUPLED = np.array([[1.0, 0.5], [0.5, 1.0]])
+_CENTRE = np.array([40.0, 30.0])
+
+
+@pytest.mark.parametrize("A, b, c, degree, axes", [
+    # Re A_00 < 0: e^{x^2/2} alone overflows at x = 40, where e^{-p^2/2} <= e^{-112}
+    (np.diag([-1.0, 1.0]), [0.0, 0.0], 0.0, 0,
+     [np.linspace(0.0, 40.0, 41), np.linspace(15.0, 20.0, 6)]),
+    # large |b|: e^{-x^2/2 + 40 x} alone overflows at x = 40, e^{-p^2/2 - 40 p} underflows
+    (np.eye(2), [40.0, -40.0], 0.0, 0, [np.linspace(20.0, 40.0, 21), np.linspace(5.0, 15.0, 11)]),
+    # complex, b offsets the peaks
+    (np.diag([1.0 + 2j, 0.5 - 1j]), [25.0 - 1j, -10.0 + 4j], 0.0, 0,
+     [np.linspace(0.0, 50.0, 51), np.linspace(-60.0, 20.0, 41)]),
+    # the peak value e^{37^2 / 2} = e^{684.5} times x^12 overflows; the values do not
+    (np.eye(2), [37.0, 0.0], 0.0, 12, [np.linspace(0.0, 20.0, 21), np.linspace(-2.0, 2.0, 5)]),
+    # coupled and centred at (40, 30): e^c = e^{-1850} underflows, the values near it are O(1)
+    (_COUPLED, _COUPLED @ _CENTRE, -0.5 * _CENTRE @ _COUPLED @ _CENTRE, 3,
+     [np.linspace(36.0, 44.0, 17), np.linspace(26.0, 34.0, 15)]),
+], ids=["growing_axis", "large_b", "complex", "large_peak_x12", "coupled_large_c"])
+def test_gaussian_keeps_the_combined_exponent(space, A, b, c, degree, axes):
+    # canonical=True keeps c in the exponent: canonical terms fold e^c into the coefficients
+    term = QGTerm(Poly(2, {(degree, 0): 0.75 - 0.5j}), QuadExponent(A, b, c))
+    f = QGFunction(space, [term], canonical=True)
+    x, p = np.meshgrid(*axes, indexing="ij")
+    q = -0.5 * (A[0, 0] * x * x + 2 * A[0, 1] * x * p + A[1, 1] * p * p) + b[0] * x + b[1] * p + c
+    with np.errstate(under="ignore"):
+        want = (0.75 - 0.5j) * x ** degree * np.exp(q)
+    assert np.abs(want).max() > 1e-3 and np.isfinite(want).all()
+    got = f.evaluate_grid(axes)       # a RuntimeWarning here fails the test
+    assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want) + 1e-300)
+    i, j = np.unravel_index(np.abs(want).argmax(), want.shape)
+    assert f.evaluate([axes[0][i], axes[1][j]]) == pytest.approx(want[i, j], rel=1e-11)
+
+
+# bounds in full-size complex arrays: the tracemalloc peaks of a
+# per-monomial evaluator that holds the sum, the polynomial and the
+# exponent (and, for the toy, a cross term)
+@pytest.mark.parametrize("build, axes, bound", [
+    (lambda: oscillator_wigner(12, VarSpace(1, 1.0)), [np.linspace(-4, 4, 1000)] * 2, 3.02),
+    (lambda: dho_f(2, 1, "+", VarSpace(2, 1.0)), [np.linspace(-3, 3, 32)] * 4, 3.05),
+    (lambda: toy_resonant(6, "+", VarSpace(1, 1.0)), [np.linspace(-3, 3, 1000)] * 2, 4.02),
+    # x1 pinned: Horner's second level holds a row per power of x1
+    (lambda: dho_f(6, 6, "+", VarSpace(2, 1.0)), [np.array([0.3])] + [np.linspace(-3, 3, 48)] * 3,
+     3.20),
+], ids=["W12", "F21", "F6+", "F66_first_axis_pinned"])
+def test_evaluate_grid_memory_peak(build, axes, bound):
+    f = build()
+    f.evaluate_grid([a[:2] for a in axes])          # the evaluation plan, built once
+    tracemalloc.start()
+    try:
+        vals = f.evaluate_grid(axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * vals.nbytes
+
+
+@pytest.mark.parametrize("axes", [
+    [np.array([0.3]), np.linspace(-2, 2, 9), np.linspace(-1, 2, 7), np.linspace(-2, 1, 11)],
+    [np.array([0.3]), np.linspace(-2, 2, 9), np.array([-0.4]), np.linspace(-2, 1, 5)],
+    [np.linspace(-2, 2, 3), np.linspace(-2, 2, 9), np.linspace(-1, 2, 7), np.array([0.8])],
+], ids=["x1", "x1_p1", "p2"])
+def test_evaluate_grid_in_pieces_matches_whole(space2, axes, monkeypatch):
+    f = dho_f(2, 3, "+", space2) + dho_g(3, 1, space2)
+    whole = f.evaluate_grid(axes)
+    monkeypatch.setattr(algebra, "_LEVEL_POINTS", 1)      # split wherever a level outgrows half the grid
+    assert np.array_equal(f.evaluate_grid(axes), whole)
+
+
+def test_evaluate_matches_a_multiterm_sum(space):
+    # two terms, a polynomial one and a shifted complex Gaussian
+    rng = np.random.default_rng(7)
+    f = random_gaussian(space, rng) + random_polynomial(space, rng)
+    axes = [np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 2.5, 7)]
+    assert len(f.terms) == 2 and _grid_gap(f, axes) <= 1e-14
 
 
 # -- differentiate -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI contracts: subcommands, formats, exit codes, byte stability."""
 
 import importlib
+import io
 import json
 import math
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from mqds import QGFunction, VarSpace, damped_pair, dho_f, oscillator_wigner, star
-from mqds.cli import _fmt, _json_with_values, main
+import mqds.cli as cli
+from mqds.cli import _fmt, _write_json, main
 
 
 def run_cli(*args, timeout=300):
@@ -182,9 +184,77 @@ def test_json_values_writer_keeps_non_finite_spelling():
                        complex(-0.0, 2.0 ** 70)])
     data = {"metadata": {"hbar": 1.0}, "spec": {"x": {"points": 4}}}
     want = json.dumps({**data, "values": [[v.real, v.imag] for v in values]}, indent=2, sort_keys=True)
-    got = _json_with_values(data, values)
-    assert got == want
-    assert "NaN" in got and "-Infinity" in got
+    for slabs in ([values], [values[:1], values[1:]], [values[:2], values[2:3], values[3:]]):
+        out = io.StringIO()
+        _write_json(data, slabs, out)
+        assert out.getvalue() == want + "\n"
+    assert "NaN" in want and "-Infinity" in want
+
+
+def _grid_output(argv, slab, to_file, monkeypatch, capsys, tmp_path):
+    """The bytes `mqds eigenfunction` writes with slabs of at most `slab` points."""
+    monkeypatch.setattr(cli, "_SLAB_POINTS", slab)
+    if to_file:
+        out = tmp_path / "grid.out"
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [
+    ["--model", "oscillator", "--family", "W", "--n", "5", "--grid", "x=-3:2.5:23,p=-1.7:4:19"],
+    ["--model", "damped_ho", "--family", "G", "--n", "2", "--m", "1",
+     "--grid", "x1=-2:2:5,x2=-1:1:4,p1=-2:2:3,p2=-1:2:6"],
+    # x1 pinned: the slabs split the axes behind the first
+    ["--model", "damped_ho", "--family", "F", "--n", "1", "--m", "2", "--grid", "x2=-2:2:7,p2=-1:1:9"],
+], ids=["N1", "N2", "N2_first_axis_pinned"])
+def test_streamed_grid_bytes_match_one_shot(grid, fmt, to_file, monkeypatch, capsys, tmp_path):
+    argv = ["eigenfunction", *grid, "--format", fmt]
+    whole = _grid_output(argv, 10**7, to_file, monkeypatch, capsys, tmp_path)
+    for slab in (1, 3, 7, 40):
+        assert _grid_output(argv, slab, to_file, monkeypatch, capsys, tmp_path) == whole
+
+
+class _FailingStream(io.StringIO):
+    """A text stream whose `fail_at`-th write raises ENOSPC."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.writes, self.fail_at = 0, fail_at
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_failure_mid_stream_exits_3(fmt, monkeypatch, caplog):
+    monkeypatch.setattr(cli, "_SLAB_POINTS", 5)
+    stream = _FailingStream(fail_at=3)
+    monkeypatch.setattr(sys, "stdout", stream)
+    argv = ["eigenfunction", "--model", "oscillator", "--grid", "x=-1:1:4,p=-1:1:5", "--format", fmt]
+    assert main(argv) == 3
+    assert stream.writes == 3 and stream.getvalue()       # two pieces were out before it failed
+    assert "I/O failure: [Errno 28] No space left on device" in caplog.text
+
+
+def test_successive_calls_do_not_leak_options(tmp_path):
+    out = tmp_path / "w.json"
+    grid = ["eigenfunction", "--model", "oscillator", "--grid", "x=-1:1:3,p=-1:1:3", "--format", "json",
+            "--out", str(out)]
+    assert main([*grid, "--hbar", "2", "--n", "3"]) == 0
+    assert json.loads(out.read_text())["metadata"]["hbar"] == 2.0
+    assert main(["spectrum", "--model", "toy", "--max-n", "1", "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(grid) == 0
+    meta = json.loads(out.read_text())["metadata"]
+    assert meta["hbar"] == 1.0 and meta["indices"] == [0] and meta["sign"] == "+"
+    assert cli._parser() is cli._parser()
 
 
 def test_eigenfunction_degenerate_grid():
